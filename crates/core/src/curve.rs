@@ -14,9 +14,8 @@
 //! certifies the interpolant to a relative tolerance. Refinement points are
 //! fixed dyadic subdivisions of the domain, so the cached curve — and every
 //! answer it returns — is a pure function of the model, independent of query
-//! order or thread interleaving. That determinism is what lets a
-//! `SweepRunner` share one curve across worker threads without losing
-//! reproducibility.
+//! order or thread interleaving. That determinism is what lets a sweep
+//! share one curve across worker threads without losing reproducibility.
 //!
 //! The [`PFailure`] trait abstracts "something that can evaluate `pF(W)`"
 //! so [`crate::wmin::WminSolver`] and the fixed-point helpers run unchanged
@@ -770,35 +769,24 @@ mod tests {
 
     #[test]
     fn shared_across_threads() {
-        let curve = std::sync::Arc::new(FailureCurve::new(fast_model()));
+        let curve = FailureCurve::new(fast_model());
         let solo = FailureCurve::new(fast_model());
         let widths: Vec<f64> = (0..64).map(|i| 20.0 + 7.0 * i as f64).collect();
-        let mut results: Vec<(f64, f64)> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = widths
-                .chunks(16)
-                .map(|chunk| {
-                    let curve = std::sync::Arc::clone(&curve);
-                    let chunk = chunk.to_vec();
-                    scope.spawn(move || {
-                        chunk
-                            .into_iter()
-                            .map(|w| (w, curve.p_failure(w).unwrap()))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.extend(h.join().unwrap());
-            }
-        });
-        for (w, p) in results {
-            assert_eq!(
-                p,
-                solo.p_failure(w).unwrap(),
-                "thread-shared curve must agree with a cold curve at {w}"
-            );
-        }
+        cnfet_sim::exec::ordered_par_map(
+            widths.len(),
+            4,
+            None,
+            || (),
+            |_, i| curve.p_failure(widths[i]).unwrap(),
+            |i, p| {
+                let w = widths[i];
+                assert_eq!(
+                    p,
+                    solo.p_failure(w).unwrap(),
+                    "thread-shared curve must agree with a cold curve at {w}"
+                );
+            },
+        );
     }
 
     #[test]

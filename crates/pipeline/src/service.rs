@@ -29,8 +29,8 @@ use crate::report::ScenarioReport;
 use crate::spec::ScenarioSpec;
 use crate::wafer::{WaferEngine, WaferReport, WaferSpec};
 use crate::Result;
+use cnfet_sim::exec::ordered_par_map;
 use cnt_stats::seed::split_seed;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -126,8 +126,8 @@ impl YieldService {
     }
 
     /// Start a streaming sweep with the service's default worker count.
-    /// Scenario `i` evaluates under `split_seed(seed, i)` — the same
-    /// contract as the legacy `SweepRunner`.
+    /// Scenario `i` evaluates under `split_seed(seed, i)`, so results do
+    /// not depend on the worker count.
     pub fn sweep(&self, specs: Vec<ScenarioSpec>, seed: u64) -> SweepHandle {
         self.sweep_with_workers(specs, seed, self.inner.config.sweep_workers)
     }
@@ -376,21 +376,19 @@ pub struct SweepItem {
 /// A handle to an in-flight sweep: an iterator of [`SweepItem`]s in
 /// strict index order, plus cooperative cancellation and progress.
 ///
-/// Workers claim scenario indices from a shared counter and evaluate out
-/// of order; the handle reorders on delivery, so `next()` blocks until
-/// the next index is available. After [`SweepHandle::cancel`], workers
-/// stop claiming new scenarios (in-flight ones finish) and the stream
-/// ends at the first undelivered index. Dropping the handle cancels and
-/// joins the workers.
+/// One driver thread runs the sweep through
+/// [`cnfet_sim::exec::ordered_par_map`], whose in-order commit sends each
+/// report down a channel, so `next()` blocks until the next index is
+/// available. After [`SweepHandle::cancel`], no new scenario is claimed
+/// (in-flight ones finish and still stream out in order) and the stream
+/// then ends. Dropping the handle cancels and joins the driver.
 pub struct SweepHandle {
     total: usize,
-    next_index: usize,
     delivered: usize,
-    pending: BTreeMap<usize, Result<ScenarioReport>>,
     rx: mpsc::Receiver<(usize, Result<ScenarioReport>)>,
     cancel: Arc<AtomicBool>,
     completed: Arc<AtomicUsize>,
-    workers: Vec<JoinHandle<()>>,
+    driver: Option<JoinHandle<()>>,
 }
 
 impl SweepHandle {
@@ -401,49 +399,39 @@ impl SweepHandle {
         workers: usize,
     ) -> Self {
         let total = specs.len();
-        let specs = Arc::new(specs);
         let cancel = Arc::new(AtomicBool::new(false));
         let completed = Arc::new(AtomicUsize::new(0));
-        let claim = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel();
-        let workers = workers.max(1).min(total.max(1));
-        let handles = (0..workers)
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                let specs = Arc::clone(&specs);
-                let cancel = Arc::clone(&cancel);
-                let completed = Arc::clone(&completed);
-                let claim = Arc::clone(&claim);
-                let tx = tx.clone();
-                std::thread::spawn(move || loop {
-                    if cancel.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let i = claim.fetch_add(1, Ordering::Relaxed);
-                    if i >= specs.len() {
-                        return;
-                    }
-                    let report = inner
-                        .pipeline
-                        .evaluate(&specs[i], split_seed(seed, i as u64));
-                    completed.fetch_add(1, Ordering::Release);
-                    // The consumer may have dropped the handle mid-stream;
-                    // a closed channel just means nobody wants the rest.
-                    if tx.send((i, report)).is_err() {
-                        return;
-                    }
-                })
+        let driver = {
+            let (cancel, completed) = (Arc::clone(&cancel), Arc::clone(&completed));
+            std::thread::spawn(move || {
+                ordered_par_map(
+                    total,
+                    workers,
+                    Some(&cancel),
+                    || (),
+                    |_, i| {
+                        let report = inner
+                            .pipeline
+                            .evaluate(&specs[i], split_seed(seed, i as u64));
+                        completed.fetch_add(1, Ordering::Release);
+                        report
+                    },
+                    // The handle joins this thread before its receiver
+                    // drops, so the send cannot fail.
+                    |i, report| {
+                        let _ = tx.send((i, report));
+                    },
+                );
             })
-            .collect();
+        };
         Self {
             total,
-            next_index: 0,
             delivered: 0,
-            pending: BTreeMap::new(),
             rx,
             cancel,
             completed,
-            workers: handles,
+            driver: Some(driver),
         }
     }
 
@@ -452,9 +440,8 @@ impl SweepHandle {
         self.total
     }
 
-    /// Ask the workers to stop after their in-flight scenarios. Items
-    /// already evaluated and contiguous with the delivered prefix still
-    /// stream out; the iterator then ends.
+    /// Stop claiming new scenarios. In-flight ones finish and still
+    /// stream out in index order; the iterator then ends.
     pub fn cancel(&self) {
         self.cancel.store(true, Ordering::Release);
     }
@@ -467,46 +454,25 @@ impl SweepHandle {
             total: self.total,
         }
     }
-
-    /// Block until the next in-index-order item is available; `None` once
-    /// the sweep is exhausted or cancellation truncated the stream.
-    #[allow(clippy::should_implement_trait)] // Iterator::next is the forwarding impl below
-    pub fn next(&mut self) -> Option<SweepItem> {
-        while self.next_index < self.total {
-            if let Some(report) = self.pending.remove(&self.next_index) {
-                let index = self.next_index;
-                self.next_index += 1;
-                self.delivered += 1;
-                return Some(SweepItem { index, report });
-            }
-            match self.rx.recv() {
-                Ok((i, report)) => {
-                    self.pending.insert(i, report);
-                }
-                // Workers are gone (finished or cancelled). Whatever is
-                // buffered beyond a gap can never be delivered in order.
-                Err(mpsc::RecvError) => return None,
-            }
-        }
-        None
-    }
 }
 
 impl Iterator for SweepHandle {
     type Item = SweepItem;
 
+    /// Block until the next in-index-order item is available; `None` once
+    /// the sweep is exhausted or cancellation truncated the stream.
     fn next(&mut self) -> Option<SweepItem> {
-        SweepHandle::next(self)
+        let (index, report) = self.rx.recv().ok()?;
+        self.delivered += 1;
+        Some(SweepItem { index, report })
     }
 }
 
 impl Drop for SweepHandle {
     fn drop(&mut self) {
         self.cancel();
-        // Unblock senders by draining, then join.
-        while self.rx.try_recv().is_ok() {}
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        if let Some(driver) = self.driver.take() {
+            let _ = driver.join();
         }
     }
 }

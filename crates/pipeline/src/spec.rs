@@ -325,23 +325,18 @@ impl BackendSpec {
         }
     }
 
-    /// Parse the monte-carlo parameter object. `allow` names the keys that
-    /// are legal in this form (the `kind` form carries a `kind` key, the
-    /// nested form does not); anything else — including a non-object
-    /// payload — is an error rather than a silent fall-through to the
-    /// defaults.
-    fn mc_from_fields(v: &Json, allow: &[&str]) -> Result<Self> {
+    /// Parse the parameters of back-end `kind` from the object `v`.
+    /// `allow` names the keys legal in this form (the `kind` form carries
+    /// a `kind` key, the nested form does not); anything else — including
+    /// a non-object payload or a mistyped number — is an error rather
+    /// than a silent fall-through to the defaults.
+    fn from_fields(kind: &str, v: &Json, allow: &[&'static str]) -> Result<Self> {
         let fields = v
             .as_object()
-            .ok_or_else(|| invalid("backend", "monte-carlo parameters must be an object"))?;
+            .ok_or_else(|| invalid("backend", format!("`{kind}` parameters must be an object")))?;
         for (key, _) in fields {
             if !allow.contains(&key.as_str()) {
-                return Err(invalid(
-                    "backend",
-                    format!(
-                        "unknown monte-carlo field `{key}` (rel_ci, max_trials, batch, ci_level)"
-                    ),
-                ));
+                return Err(crate::builder::unknown_key("backend", key, allow));
             }
         }
         let field = |key: &str| -> Result<Option<f64>> {
@@ -354,48 +349,51 @@ impl BackendSpec {
             }
         };
         let d = McPrecision::default();
-        Ok(BackendSpec::MonteCarlo {
-            rel_ci: field("rel_ci")?.unwrap_or(d.rel_ci),
-            max_trials: field("max_trials")?.map_or(d.max_trials, |v| v as u64),
-            batch: field("batch")?.map_or(d.batch, |v| v as u32),
-            ci_level: field("ci_level")?.unwrap_or(d.level),
+        Ok(match kind {
+            "convolution" => BackendSpec::Convolution {
+                step: field("step")?.unwrap_or(0.05),
+            },
+            "gaussian-sum" => BackendSpec::GaussianSum,
+            _ => BackendSpec::MonteCarlo {
+                rel_ci: field("rel_ci")?.unwrap_or(d.rel_ci),
+                max_trials: field("max_trials")?.map_or(d.max_trials, |v| v as u64),
+                batch: field("batch")?.map_or(d.batch, |v| v as u32),
+                ci_level: field("ci_level")?.unwrap_or(d.level),
+            },
         })
     }
 
+    /// Parse any of the three wire forms: a bare kind name, a
+    /// `kind`-tagged object, or the nested single-key object
+    /// `{ "<kind>": { params } }`.
     pub(crate) fn from_json(v: &Json) -> Result<Self> {
-        match v {
-            Json::Str(s) => match s.as_str() {
-                "convolution" => Ok(BackendSpec::Convolution { step: 0.05 }),
-                "gaussian-sum" => Ok(BackendSpec::GaussianSum),
-                "monte-carlo" => Ok(mc_backend_defaults()),
-                other => Err(invalid(
+        let params = |kind: &str| -> Result<&'static [&'static str]> {
+            match kind {
+                "convolution" => Ok(&["kind", "step"]),
+                "gaussian-sum" => Ok(&["kind"]),
+                "monte-carlo" => Ok(&["kind", "rel_ci", "max_trials", "batch", "ci_level"]),
+                other => Err(crate::builder::unknown_key(
                     "backend",
-                    format!("unknown backend `{other}` (convolution, gaussian-sum, monte-carlo)"),
+                    other,
+                    &BackendSpec::KINDS,
                 )),
-            },
+            }
+        };
+        match v {
+            Json::Str(s) => {
+                params(s)?;
+                Self::from_fields(s, &Json::Obj(Vec::new()), &[])
+            }
             Json::Obj(fields) => {
-                // Nested single-key form: { "monte-carlo": { "rel_ci": … } }.
-                if fields.len() == 1 && fields[0].0 == "monte-carlo" {
-                    return Self::mc_from_fields(
-                        &fields[0].1,
-                        &["rel_ci", "max_trials", "batch", "ci_level"],
-                    );
+                if fields.len() == 1 && BackendSpec::KINDS.contains(&fields[0].0.as_str()) {
+                    let (kind, payload) = (&fields[0].0, &fields[0].1);
+                    return Self::from_fields(kind, payload, &params(kind)?[1..]);
                 }
                 let kind = v
                     .get("kind")
                     .and_then(Json::as_str)
                     .ok_or_else(|| invalid("backend", "object form needs a `kind` string"))?;
-                match kind {
-                    "convolution" => Ok(BackendSpec::Convolution {
-                        step: v.get("step").and_then(Json::as_f64).unwrap_or(0.05),
-                    }),
-                    "gaussian-sum" => Ok(BackendSpec::GaussianSum),
-                    "monte-carlo" => Self::mc_from_fields(
-                        v,
-                        &["kind", "rel_ci", "max_trials", "batch", "ci_level"],
-                    ),
-                    other => Err(invalid("backend", format!("unknown backend `{other}`"))),
-                }
+                Self::from_fields(kind, v, params(kind)?)
             }
             _ => Err(invalid("backend", "must be a string or an object")),
         }
@@ -868,25 +866,6 @@ impl ScenarioSpec {
             }
             BackendSpec::GaussianSum => {}
         }
-        Ok(())
-    }
-
-    /// Apply one named field from a JSON value.
-    ///
-    /// **Deprecated shim**: this now forwards to
-    /// [`crate::builder::ScenarioBuilder::set_json`], the single
-    /// validation path shared by grid files, the CLI, and the service
-    /// envelopes. New code should use the builder directly.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::UnknownKey`] for unknown fields (with a
-    /// nearest-key suggestion), [`PipelineError::InvalidSpec`] for wrong
-    /// types.
-    pub fn apply(&mut self, key: &str, value: &Json) -> Result<()> {
-        let updated =
-            crate::builder::ScenarioBuilder::from_spec(self.clone()).set_json(key, value)?;
-        *self = updated.build_unchecked();
         Ok(())
     }
 

@@ -42,11 +42,11 @@ use cnfet_core::paper;
 use cnfet_core::rowmodel::RowModel;
 use cnfet_fault::{short_probability, McFallback, PurityMode, RedundancyScheme};
 use cnfet_sim::adaptive::McPrecision;
+use cnfet_sim::exec::ordered_par_map;
 use cnt_stats::seed::split_seed;
 use cnt_stats::{DistSpec, FastMap, FastSet, FieldSampler, FieldSpec};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 fn invalid(field: &'static str, msg: impl Into<String>) -> PipelineError {
@@ -784,74 +784,66 @@ impl<'a> WaferEngine<'a> {
 
         let dies = die_positions(spec.diameter_dies);
         let chunks = dies.len().div_ceil(CHUNK_DIES).max(1);
-        let cursor = AtomicUsize::new(0);
         let memo: [MemoShard; MEMO_SHARDS] =
             std::array::from_fn(|_| Mutex::new(FastMap::default()));
-        let results: Mutex<BTreeMap<usize, ChunkAgg>> = Mutex::new(BTreeMap::new());
-        let failure: Mutex<Option<PipelineError>> = Mutex::new(None);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(chunks) {
-                scope.spawn(|| loop {
-                    let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= chunks || failure.lock().expect("wafer lock").is_some() {
-                        return;
+        let run_chunk = |chunk: usize| -> Result<ChunkAgg> {
+            let lo = chunk * CHUNK_DIES;
+            let hi = (lo + CHUNK_DIES).min(dies.len());
+            let mut agg = ChunkAgg::new();
+            for die in &dies[lo..hi] {
+                let mut knobs = [0.0_f64; 4];
+                for (i, k) in knobs.iter_mut().enumerate() {
+                    *k = match &samplers[i] {
+                        Some(s) => knob::snap(i, s.realize(die.grid_index, die.x, die.y, die.r)),
+                        None => central_knob(i),
+                    };
+                }
+                let key = (
+                    knobs[0].to_bits(),
+                    knobs[1].to_bits(),
+                    knobs[2].to_bits(),
+                    knobs[3].to_bits(),
+                );
+                let shard = &memo[memo_shard(key)];
+                let cached = shard.lock().expect("wafer lock").get(&key).copied();
+                let y = match cached {
+                    Some(y) => y,
+                    None => {
+                        let y = Self::die_yield(
+                            &model,
+                            &central,
+                            (knobs[0], knobs[1], knobs[2], knobs[3]),
+                        )?;
+                        shard.lock().expect("wafer lock").insert(key, y);
+                        y
                     }
-                    let lo = chunk * CHUNK_DIES;
-                    let hi = (lo + CHUNK_DIES).min(dies.len());
-                    let mut agg = ChunkAgg::new();
-                    for die in &dies[lo..hi] {
-                        let mut knobs = [0.0_f64; 4];
-                        for (i, k) in knobs.iter_mut().enumerate() {
-                            *k = match &samplers[i] {
-                                Some(s) => {
-                                    knob::snap(i, s.realize(die.grid_index, die.x, die.y, die.r))
-                                }
-                                None => central_knob(i),
-                            };
-                        }
-                        let key = (
-                            knobs[0].to_bits(),
-                            knobs[1].to_bits(),
-                            knobs[2].to_bits(),
-                            knobs[3].to_bits(),
-                        );
-                        let shard = &memo[memo_shard(key)];
-                        let cached = shard.lock().expect("wafer lock").get(&key).copied();
-                        let y = match cached {
-                            Some(y) => y,
-                            None => {
-                                match Self::die_yield(
-                                    &model,
-                                    &central,
-                                    (knobs[0], knobs[1], knobs[2], knobs[3]),
-                                ) {
-                                    Ok(y) => {
-                                        shard.lock().expect("wafer lock").insert(key, y);
-                                        y
-                                    }
-                                    Err(e) => {
-                                        *failure.lock().expect("wafer lock") = Some(e);
-                                        return;
-                                    }
-                                }
-                            }
-                        };
-                        agg.add(y, die.r, key);
-                    }
-                    results.lock().expect("wafer lock").insert(chunk, agg);
-                });
+                };
+                agg.add(y, die.r, key);
             }
-        });
+            Ok(agg)
+        };
 
-        if let Some(e) = failure.into_inner().expect("wafer lock") {
-            return Err(e);
-        }
-        let results = results.into_inner().expect("wafer lock");
+        // Chunks fold in chunk order — the determinism barrier. The first
+        // failing chunk is the one reported, and it stops further claims.
         let mut total = ChunkAgg::new();
-        // BTreeMap iteration is chunk order — the determinism barrier.
-        for agg in results.values() {
-            total.merge(agg);
+        let mut failure = None;
+        let stop = AtomicBool::new(false);
+        ordered_par_map(
+            chunks,
+            workers,
+            Some(&stop),
+            || (),
+            |_, chunk| run_chunk(chunk),
+            |_, agg| match agg {
+                Ok(agg) => total.merge(&agg),
+                Err(e) => {
+                    failure.get_or_insert(e);
+                    stop.store(true, Ordering::Release);
+                }
+            },
+        );
+        if let Some(e) = failure {
+            return Err(e);
         }
 
         let n = dies.len() as u64;

@@ -37,11 +37,15 @@ fn every_field_arm_rejects_mistyped_values_as_bad_spec() {
         ("node_nm", r#""wide""#, "must be a number"),
         ("yield_target", "true", "must be a number"),
         ("backend", "9", "must be a string or an object"),
-        ("backend", r#""quantum""#, "unknown backend"),
         (
             "backend",
-            r#"{ "kind": "monte-carlo", "trials": 5 }"#,
-            "unknown monte-carlo field",
+            r#"{ "kind": "convolution", "step": "fine" }"#,
+            "`step` must be a number",
+        ),
+        (
+            "backend",
+            r#"{ "monte-carlo": "fast" }"#,
+            "`monte-carlo` parameters must be an object",
         ),
         ("m_transistors", r#""many""#, "must be a number"),
         (
@@ -88,6 +92,7 @@ fn every_domain_violation_is_caught_at_build() {
         ("l_cnt_um", "0"),
         ("backend", r#"{ "kind": "convolution", "step": -0.05 }"#),
         ("backend", r#"{ "monte-carlo": { "rel_ci": 0 } }"#),
+        ("backend", r#"{ "convolution": { "step": -0.05 } }"#),
     ];
     for (key, value) in cases {
         let err = set(key, value)
@@ -104,18 +109,52 @@ fn every_domain_violation_is_caught_at_build() {
 #[test]
 fn unknown_keys_map_to_unknown_key_with_the_documented_suggestion() {
     // The satellite contract: the Levenshtein suggestion is part of the
-    // error surface, both structured and in display text.
+    // error surface, both structured and in display text. Rows are
+    // (field, value, the unknown key, expected suggestion): scenario-key
+    // typos, then kind and parameter typos inside tagged values.
     let cases = [
-        ("yeild_target", Some("yield_target")),
-        ("corelation", Some("correlation")),
-        ("nodenm", Some("node_nm")),
-        ("l_cnt_un", Some("l_cnt_um")),
-        ("backened", Some("backend")),
-        ("fastdesign", Some("fast_design")),
-        ("zzzzzzzzzz", None), // hopeless typos get no guess
+        ("yeild_target", "1", "yeild_target", Some("yield_target")),
+        ("corelation", "1", "corelation", Some("correlation")),
+        ("nodenm", "1", "nodenm", Some("node_nm")),
+        ("l_cnt_un", "1", "l_cnt_un", Some("l_cnt_um")),
+        ("backened", "1", "backened", Some("backend")),
+        ("fastdesign", "1", "fastdesign", Some("fast_design")),
+        ("zzzzzzzzzz", "1", "zzzzzzzzzz", None), // hopeless typos get no guess
+        ("redundancy", r#""tmrr""#, "tmrr", Some("tmr")),
+        (
+            "backend",
+            r#""convolutoin""#,
+            "convolutoin",
+            Some("convolution"),
+        ),
+        ("backend", r#""quantum""#, "quantum", None),
+        (
+            "backend",
+            r#"{ "kind": "convolution", "stepp": 0.01 }"#,
+            "stepp",
+            Some("step"),
+        ),
+        (
+            "backend",
+            r#"{ "convolution": { "stepp": 0.01 } }"#,
+            "stepp",
+            Some("step"),
+        ),
+        (
+            "backend",
+            r#"{ "kind": "monte-carlo", "trials": 5 }"#,
+            "trials",
+            None,
+        ),
+        (
+            "backend",
+            r#"{ "monte-carlo": { "relci": 0.1 } }"#,
+            "relci",
+            Some("rel_ci"),
+        ),
     ];
-    for (key, expected) in cases {
-        let err = set(key, "1").unwrap_err();
+    for (field, value, key, expected) in cases {
+        let err = set(field, value).unwrap_err();
         match &err {
             PipelineError::UnknownKey {
                 key: got,
@@ -123,9 +162,9 @@ fn unknown_keys_map_to_unknown_key_with_the_documented_suggestion() {
                 ..
             } => {
                 assert_eq!(got, key);
-                assert_eq!(suggestion.as_deref(), expected, "for `{key}`");
+                assert_eq!(suggestion.as_deref(), expected, "for `{field}` = {value}");
             }
-            other => panic!("`{key}` must be UnknownKey, got {other:?}"),
+            other => panic!("`{field}` = {value} must be UnknownKey, got {other:?}"),
         }
         match code(&err) {
             ErrorCode::UnknownKey {
@@ -135,16 +174,16 @@ fn unknown_keys_map_to_unknown_key_with_the_documented_suggestion() {
                 assert_eq!(got, key);
                 assert_eq!(suggestion.as_deref(), expected);
             }
-            other => panic!("`{key}` must map to unknown_key, got {other:?}"),
+            other => panic!("`{field}` = {value} must map to unknown_key, got {other:?}"),
         }
         match expected {
             Some(s) => assert!(
                 err.to_string().contains(&format!("did you mean `{s}`?")),
-                "display for `{key}`: {err}"
+                "display for `{field}` = {value}: {err}"
             ),
             None => assert!(
                 !err.to_string().contains("did you mean"),
-                "display for `{key}`: {err}"
+                "display for `{field}` = {value}: {err}"
             ),
         }
     }

@@ -119,6 +119,33 @@ fn spec(name: &[usize], node: f64, target: f64, backend: usize) -> ScenarioSpec 
     spec
 }
 
+/// Rewrite every scenario `backend` value in a request into the nested
+/// single-key form `{ "<kind>": { params } }`, which must parse to the
+/// same spec as the normal form the writer emits.
+fn nest_backends(j: &mut Json) {
+    match j {
+        Json::Obj(fields) => {
+            for (key, value) in fields.iter_mut() {
+                if key == "backend" {
+                    *value = match value.clone() {
+                        Json::Str(kind) => Json::Obj(vec![(kind, Json::Obj(vec![]))]),
+                        Json::Obj(params) => {
+                            let kind = value.get("kind").and_then(Json::as_str).unwrap();
+                            let rest = params.into_iter().filter(|(k, _)| k != "kind").collect();
+                            Json::Obj(vec![(kind.to_string(), Json::Obj(rest))])
+                        }
+                        other => other,
+                    };
+                } else {
+                    nest_backends(value);
+                }
+            }
+        }
+        Json::Arr(items) => items.iter_mut().for_each(nest_backends),
+        _ => {}
+    }
+}
+
 fn report(name: &[usize], seed: u64, w_min: f64, with_mc: bool) -> ScenarioReport {
     ScenarioReport {
         name: text(name),
@@ -182,6 +209,11 @@ proptest! {
         let wire = request.to_json().to_string_compact();
         let back = YieldRequest::from_json(&Json::parse(&wire).unwrap())
             .map_err(|e| TestCaseError::fail(format!("{e} for {wire}")))?;
+        prop_assert_eq!(&back, &request);
+        let mut nested = request.to_json();
+        nest_backends(&mut nested);
+        let back = YieldRequest::from_json(&nested)
+            .map_err(|e| TestCaseError::fail(format!("{e} for {}", nested.to_string_compact())))?;
         prop_assert_eq!(back, request);
     }
 

@@ -2,8 +2,9 @@
 //! in-order streaming, cancellation, and bounded caches under stress.
 
 use cnfet_pipeline::{
-    BackendSpec, CacheConfig, CornerSpec, Pipeline, RequestBody, ResponseBody, ScenarioGrid,
-    ScenarioSpec, ServiceConfig, YieldRequest, YieldResponse, YieldService,
+    BackendSpec, CacheConfig, CornerSpec, CorrelationSpec, Pipeline, RequestBody, ResponseBody,
+    ScenarioGrid, ScenarioReport, ScenarioSpec, ServiceConfig, YieldRequest, YieldResponse,
+    YieldService,
 };
 
 fn fast_spec(name: &str) -> ScenarioSpec {
@@ -27,6 +28,18 @@ fn fast_grid_doc() -> &'static str {
             "node_nm": [45, 32, 22],
             "correlation": ["none", "growth+aligned-layout"]
         }
+    }"#
+}
+
+fn mc_grid_doc() -> &'static str {
+    r#"{
+        "name": "mc",
+        "defaults": {
+            "backend": { "monte-carlo": { "rel_ci": 0.15, "max_trials": 100000, "batch": 1000 } },
+            "rho": "paper",
+            "fast_design": true
+        },
+        "axes": { "correlation": ["none", "growth+aligned-layout"] }
     }"#
 }
 
@@ -54,49 +67,80 @@ fn evaluate_responses_are_byte_identical_across_repeats_and_services() {
 
 #[test]
 fn sweep_streams_in_index_order_and_is_worker_independent() {
-    let grid = ScenarioGrid::parse(fast_grid_doc()).unwrap();
-    let total = grid.scenarios.len();
-    let service = YieldService::new();
-    let run = |workers: usize| -> Vec<YieldResponse> {
-        service.handle(&YieldRequest::sweep("swp", grid.clone(), 99, Some(workers)))
-    };
-    let one = run(1);
-    let many = run(8);
-    assert_eq!(
-        wire(&one),
-        wire(&many),
-        "worker count must not change a single byte"
-    );
-    assert_eq!(one.len(), total + 1, "one response per scenario + done");
-    for (i, response) in one[..total].iter().enumerate() {
-        assert_eq!(response.id, "swp");
-        match &response.body {
-            ResponseBody::SweepReport {
-                index, total: t, ..
-            } => {
-                assert_eq!(*index, i as u64, "stream must be in index order");
-                assert_eq!(*t, total as u64);
-            }
-            other => panic!("expected sweep_report, got {other:?}"),
-        }
-    }
-    match &one[total].body {
-        ResponseBody::SweepDone { total: t, failed } => {
-            assert_eq!(*t, total as u64);
-            assert_eq!(*failed, 0);
-        }
-        other => panic!("expected sweep_done, got {other:?}"),
-    }
-    // Reports match the legacy one-shot path scenario for scenario.
-    let pipeline = Pipeline::new();
-    for (i, response) in one[..total].iter().enumerate() {
-        let ResponseBody::SweepReport { report, .. } = &response.body else {
-            unreachable!("checked above");
+    // An analytic grid, a Monte-Carlo grid (the MC back-end's acceptance
+    // contract: trial counts and CI bounds are worker-independent too) and
+    // the empty sweep.
+    let grids = [
+        ScenarioGrid::parse(fast_grid_doc()).unwrap(),
+        ScenarioGrid::parse(mc_grid_doc()).unwrap(),
+        ScenarioGrid { scenarios: vec![] },
+    ];
+    for grid in grids {
+        let total = grid.scenarios.len();
+        let service = YieldService::new();
+        let run = |workers: usize| -> Vec<YieldResponse> {
+            service.handle(&YieldRequest::sweep("swp", grid.clone(), 99, Some(workers)))
         };
-        let seed = cnfet_sim::engine::split_seed(99, i as u64);
+        let one = run(1);
+        for workers in [3, 4, 8] {
+            assert_eq!(
+                wire(&one),
+                wire(&run(workers)),
+                "worker count must not change a single byte (workers = {workers})"
+            );
+        }
+        assert_eq!(one.len(), total + 1, "one response per scenario + done");
+        for (i, response) in one[..total].iter().enumerate() {
+            assert_eq!(response.id, "swp");
+            match &response.body {
+                ResponseBody::SweepReport {
+                    index, total: t, ..
+                } => {
+                    assert_eq!(*index, i as u64, "stream must be in index order");
+                    assert_eq!(*t, total as u64);
+                }
+                other => panic!("expected sweep_report, got {other:?}"),
+            }
+        }
+        match &one[total].body {
+            ResponseBody::SweepDone { total: t, failed } => {
+                assert_eq!(*t, total as u64);
+                assert_eq!(*failed, 0);
+            }
+            other => panic!("expected sweep_done, got {other:?}"),
+        }
+        // Reports match a cold pipeline's scenario for scenario.
+        let pipeline = Pipeline::new();
+        let reports: Vec<&ScenarioReport> = one[..total]
+            .iter()
+            .map(|response| match &response.body {
+                ResponseBody::SweepReport { report, .. } => report,
+                _ => unreachable!("checked above"),
+            })
+            .collect();
+        for (i, report) in reports.iter().enumerate() {
+            let seed = cnt_stats::split_seed(99, i as u64);
+            assert_eq!(
+                *report,
+                &pipeline.evaluate(&grid.scenarios[i], seed).unwrap()
+            );
+            if let Some(mc) = &report.mc {
+                assert!(mc.trials > 0 && mc.ci_lo <= report.p_at_w_min);
+                assert!(report.p_at_w_min <= mc.ci_hi);
+            }
+        }
+        // Both grids pair (none, correlated) per node: correlation must
+        // shrink W_min at every node, under every back-end.
+        for pair in reports.chunks(2) {
+            assert_eq!(pair[0].correlation, CorrelationSpec::None.name());
+            assert!(pair[1].w_min_nm < pair[0].w_min_nm);
+            assert!(pair[1].upsizing_penalty <= pair[0].upsizing_penalty);
+        }
+        // The typed stream agrees, down to the empty sweep's zero items.
         assert_eq!(
-            report,
-            &pipeline.evaluate(&grid.scenarios[i], seed).unwrap()
+            service.sweep(grid.scenarios.clone(), 99).count(),
+            total,
+            "typed stream length"
         );
     }
 }
@@ -187,7 +231,7 @@ fn lru_cache_stays_bounded_under_100_scenario_stress() {
     assert_eq!(delivered, 100);
     // Evictions must not have corrupted answers: a stressed-cache result
     // equals a fresh pipeline's.
-    let seed = cnfet_sim::engine::split_seed(1, 3);
+    let seed = cnt_stats::split_seed(1, 3);
     assert_eq!(
         service.evaluate(&reference, seed).unwrap(),
         Pipeline::new().evaluate(&reference, seed).unwrap()
@@ -202,7 +246,7 @@ fn bad_scenarios_stream_structured_errors_and_a_failure_count() {
         scenarios: vec![fast_spec("ok-0"), bad, fast_spec("ok-2")],
     };
     let service = YieldService::new();
-    let responses = service.handle(&YieldRequest::sweep("mixed", grid, 1, Some(2)));
+    let responses = service.handle(&YieldRequest::sweep("mixed", grid.clone(), 1, Some(2)));
     assert_eq!(responses.len(), 4);
     assert!(!responses[0].is_error());
     assert!(responses[1].is_error(), "bad scenario yields an error");
@@ -212,6 +256,21 @@ fn bad_scenarios_stream_structured_errors_and_a_failure_count() {
             assert_eq!((*total, *failed), (3, 1));
         }
         other => panic!("expected sweep_done, got {other:?}"),
+    }
+    // The failure stays confined to its own item at any worker count.
+    for workers in [1, 8] {
+        let again = service.handle(&YieldRequest::sweep(
+            "mixed",
+            grid.clone(),
+            1,
+            Some(workers),
+        ));
+        assert_eq!(wire(&again), wire(&responses), "workers = {workers}");
+        let typed: Vec<bool> = service
+            .sweep_with_workers(grid.scenarios.clone(), 1, workers)
+            .map(|item| item.report.is_ok())
+            .collect();
+        assert_eq!(typed, [true, false, true], "workers = {workers}");
     }
 }
 

@@ -1,27 +1,26 @@
 //! Adaptive-precision Monte-Carlo driver: batched trial chunks fanned
-//! across scoped threads, streaming [`Summary`] merging, and a stopping
-//! rule on the confidence interval's relative half-width.
+//! across threads by [`ordered_par_map`], streaming [`Summary`] merging,
+//! and a stopping rule on the confidence interval's relative half-width.
 //!
 //! ## Determinism contract
 //!
 //! Trials are organized into fixed-size **batches**; batch `k` always runs
 //! on an RNG seeded with [`split_seed`]`(seed, k)`, batches are merged in
 //! index order, and the stopping rule is evaluated after *every* committed
-//! batch — exactly as a serial run would. Worker threads only execute
-//! batches speculatively (a wave of up to `workers` batches at a time;
-//! batches past the stopping point are discarded), so the outcome is
-//! **bit-identical for any worker count**. This extends the
-//! [`run_parallel`](crate::engine::run_parallel) guarantee (reproducible
-//! for a fixed `(seed, workers)` pair) to full worker independence, which
-//! is what lets the scenario pipeline treat a Monte-Carlo back-end like an
-//! analytic one.
+//! batch — exactly as a serial run would. Worker threads only run ahead
+//! speculatively (at most `workers − 1` batches past the stopping point,
+//! which are discarded), so the outcome is **bit-identical for any worker
+//! count**. That worker independence is what lets the scenario pipeline
+//! treat a Monte-Carlo back-end like an analytic one.
 
-use crate::engine::split_seed;
+use crate::exec::ordered_par_map;
 use crate::{Result, SimError};
 use cnt_stats::ci::{mean_ci, ConfidenceInterval};
+use cnt_stats::seed::split_seed;
 use cnt_stats::Summary;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::ControlFlow;
 
 /// Precision target of an adaptive Monte-Carlo run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,8 +144,8 @@ where
 
 /// Batch-fill variant of [`run_adaptive_affine`]: instead of one `job`
 /// callback per trial, `fill` receives the batch's RNG and a sample buffer
-/// of `precision.batch` slots to fill in order — one buffer per in-flight
-/// batch, reused across the run, so the hot loop does no per-trial calls
+/// of `precision.batch` slots to fill in order — one buffer per worker,
+/// reused across the run, so the hot loop does no per-trial calls
 /// through a function-pointer boundary and no allocation.
 ///
 /// The determinism contract is unchanged and the outcome is bit-identical
@@ -154,8 +153,6 @@ where
 /// still runs on `split_seed(seed, k)`, `fill` must consume the RNG stream
 /// exactly as the scalar loop would, per-batch summaries accumulate the
 /// buffer in index order, and commits/stopping are evaluated identically.
-/// With `workers == 1` the speculative thread scope is bypassed entirely
-/// (same commit sequence, no spawn overhead).
 ///
 /// # Errors
 ///
@@ -179,7 +176,6 @@ where
             constraint: "must be finite with scale >= 0",
         });
     }
-    let workers = workers.max(1);
     let batch = precision.batch;
     // Clamp instead of `as u32` so an enormous max_trials saturates the
     // batch budget rather than wrapping (2^33 trials / batch 2 would
@@ -215,54 +211,26 @@ where
     let mut merged = Summary::new();
     let mut committed = 0u32;
     let mut converged = false;
-    if workers == 1 {
-        // Serial fast path: no speculative waves to discard, so skip the
-        // thread scope and reuse one sample buffer for the whole run.
-        let mut buf = vec![0.0_f64; batch as usize];
-        while committed < max_batches {
-            let s = run_batch(committed, &mut buf);
+    let mut failure = None;
+    ordered_par_map(
+        max_batches as usize,
+        workers,
+        None,
+        || vec![0.0_f64; batch as usize],
+        |buf, index| run_batch(index as u32, buf),
+        |_, s| {
             merged.merge(&s);
             committed += 1;
-            if stop(&affine_ci(&merged)?) {
-                converged = true;
-                break;
+            match affine_ci(&merged) {
+                Ok(ci) if !stop(&ci) => return ControlFlow::Continue(()),
+                Ok(_) => converged = true,
+                Err(e) => failure = Some(e),
             }
-        }
-    } else {
-        // One reusable sample buffer per worker slot, swapped into the wave.
-        let mut buffers: Vec<Vec<f64>> = (0..workers)
-            .map(|_| vec![0.0_f64; batch as usize])
-            .collect();
-        'outer: while committed < max_batches {
-            let wave = workers.min((max_batches - committed) as usize);
-            let mut speculative: Vec<Summary> = Vec::with_capacity(wave);
-            std::thread::scope(|scope| {
-                let run_batch = &run_batch;
-                let handles: Vec<_> = buffers
-                    .iter_mut()
-                    .take(wave)
-                    .enumerate()
-                    .map(|(j, buf)| {
-                        let index = committed + j as u32;
-                        scope.spawn(move || run_batch(index, buf))
-                    })
-                    .collect();
-                for h in handles {
-                    speculative.push(h.join().expect("adaptive MC batch panicked"));
-                }
-            });
-            // Commit in index order, re-checking the stopping rule after
-            // every batch — the same decision sequence a one-worker run
-            // makes.
-            for s in speculative {
-                merged.merge(&s);
-                committed += 1;
-                if stop(&affine_ci(&merged)?) {
-                    converged = true;
-                    break 'outer;
-                }
-            }
-        }
+            ControlFlow::Break(())
+        },
+    );
+    if let Some(e) = failure {
+        return Err(e);
     }
 
     let ci = affine_ci(&merged)?;
@@ -374,7 +342,7 @@ mod tests {
 
     #[test]
     fn fill_variant_is_bit_identical_to_scalar_for_any_worker_count() {
-        // Heavy-tailed estimand so convergence takes several waves and the
+        // Heavy-tailed estimand so convergence takes many batches and the
         // commit/stop sequence is actually exercised.
         let p = McPrecision {
             rel_ci: 0.05,

@@ -1,8 +1,10 @@
 //! # cnfet-sim
 //!
 //! Monte-Carlo engine for CNFET yield: conditional (Rao-Blackwellised)
-//! estimators, an exact run-DP row-failure evaluator, and parallel
-//! execution.
+//! estimators, an exact run-DP row-failure evaluator, an adaptive-precision
+//! driver ([`adaptive`]), and the deterministic parallel executor
+//! ([`exec::ordered_par_map`]) that every fan-out in the workspace —
+//! Monte-Carlo batches, wafer chunks, scenario sweeps — runs on.
 //!
 //! ## Why conditional Monte Carlo
 //!
@@ -34,7 +36,7 @@
 
 pub mod adaptive;
 pub mod condmc;
-pub mod engine;
+pub mod exec;
 pub mod rundp;
 
 use std::error::Error;
@@ -103,5 +105,5 @@ pub use adaptive::{run_adaptive, run_adaptive_affine, McOutcome, McPrecision};
 pub use condmc::{
     estimate_fet_failure, estimate_fet_failure_adaptive, estimate_row_failure, RowScenario,
 };
-pub use engine::run_parallel;
+pub use exec::ordered_par_map;
 pub use rundp::{row_failure_probability, row_failure_probability_weighted};

@@ -2,8 +2,8 @@
 //! the same seed must give bit-identical estimates, and library code must
 //! never consult an ambient entropy source.
 
+use cnfet_sim::adaptive::{run_adaptive, McPrecision};
 use cnfet_sim::condmc::{estimate_fet_failure, estimate_row_failure, RowScenario};
-use cnfet_sim::engine::run_parallel;
 use cnt_stats::TruncatedGaussian;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,9 +41,22 @@ fn row_failure_same_seed_same_estimate() {
 
 #[test]
 fn parallel_engine_is_deterministic_per_seed_and_worker_count() {
+    // Run to the trial cap (the target is unreachable) so every batch is
+    // committed, then check the seed decides the result and the worker
+    // count does not.
+    let precision = McPrecision {
+        rel_ci: 1e-9,
+        max_trials: 50_000,
+        batch: 1_000,
+        level: 0.95,
+    };
     let job = |rng: &mut StdRng| rng.gen::<f64>();
-    let a = run_parallel(50_000, 4, 17, job);
-    let b = run_parallel(50_000, 4, 17, job);
-    assert_eq!(a.mean(), b.mean());
-    assert_eq!(a.variance(), b.variance());
+    let a = run_adaptive(&precision, 4, 17, job).unwrap();
+    assert_eq!(a.trials, 50_000);
+    for workers in [1, 3, 4, 8] {
+        let b = run_adaptive(&precision, workers, 17, job).unwrap();
+        assert_eq!(a, b, "workers = {workers}");
+    }
+    let c = run_adaptive(&precision, 4, 18, job).unwrap();
+    assert_ne!(a.summary.mean(), c.summary.mean());
 }

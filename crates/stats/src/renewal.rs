@@ -1151,7 +1151,7 @@ impl FailureSampler {
     }
 
     /// Fill `out` with consecutive [`Self::sample_tail`] draws — the batch
-    /// fast path used by the adaptive driver's per-wave buffers.
+    /// fast path used by the adaptive driver's per-worker batch buffers.
     ///
     /// Bit-identical to `for v in out { *v = sampler.sample_tail(rng) }`:
     /// the RNG stream is consumed in the same order, trial by trial.

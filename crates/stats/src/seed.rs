@@ -2,8 +2,7 @@
 //!
 //! Every parallel or streamed computation in this workspace is a pure
 //! function of `(spec, seed)`: worker counts and scheduling never change a
-//! byte. That property rests on a single derivation rule, defined here and
-//! re-exported by `cnfet_sim::engine` for the layers above:
+//! byte. That property rests on a single derivation rule, defined here:
 //!
 //! ```text
 //! child = base ^ SplitMix64(index + 1)
@@ -17,7 +16,7 @@
 //! Call sites fall into three patterns, all built from [`split_seed`]:
 //!
 //! * **Indexed fan-out** — item `i` of a sweep, batch `b` of an adaptive
-//!   Monte-Carlo run, worker `k` of a parallel engine, die `d` of a wafer:
+//!   Monte-Carlo run, die `d` of a wafer:
 //!   `split_seed(base, i)`. Results are independent of which worker
 //!   evaluates which index.
 //! * **Salted sub-streams** — a fixed ASCII tag separates *kinds* of
