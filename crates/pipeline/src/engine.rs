@@ -155,7 +155,7 @@ pub struct CacheStats {
 /// The shared evaluator behind every experiment, bench, and sweep.
 ///
 /// All getters hand out `Arc`s from interior caches, so one `Pipeline` can
-/// be borrowed concurrently by the [`crate::service::SweepHandle`] workers:
+/// be borrowed concurrently by the [`crate::sweep::SweepHandle`] workers:
 /// the expensive substrates — memoized `pF(W)` curves, mapped-design
 /// statistics, aligned libraries — are computed once per distinct key and
 /// shared from then on. The curve and design caches are **bounded** (LRU,

@@ -34,7 +34,7 @@
 //! * [`envelope`] — versioned `YieldRequest` / `YieldResponse` wire
 //!   envelopes (`schema: 1`) with machine-readable
 //!   [`envelope::ErrorCode`]s;
-//! * [`service::SweepHandle`] — incremental sweep results in
+//! * [`sweep::SweepHandle`] — incremental sweep results in
 //!   deterministic index order (scenario `i` under
 //!   `split_seed(seed, i)`, fanned out by
 //!   `cnfet_sim::exec::ordered_par_map`), with cooperative cancellation
@@ -81,6 +81,7 @@ pub mod report;
 pub mod router;
 pub mod service;
 pub mod spec;
+pub mod sweep;
 pub mod wafer;
 
 use std::error::Error;
@@ -208,11 +209,12 @@ pub use report::{
 pub use router::{
     shard_for, Client, LineServer, RouterConfig, RouterStats, ShardRouter, ShardStats,
 };
-pub use service::{ServiceConfig, SweepHandle, SweepItem, SweepProgress, YieldService};
+pub use service::{ServiceConfig, YieldService};
 pub use spec::{
     mc_backend_defaults, redundancy_from_json, redundancy_to_json, BackendSpec, CornerSpec,
     CorrelationSpec, LibrarySpec, MminSpec, PuritySpec, RhoSpec, ScenarioGrid, ScenarioSpec,
 };
+pub use sweep::{SweepHandle, SweepItem, SweepProgress};
 pub use wafer::{RadialBand, WaferEngine, WaferReport, WaferSpec};
 
 #[cfg(test)]

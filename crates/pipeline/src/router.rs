@@ -43,7 +43,7 @@
 //!   without bound.
 //! * **Cancellation** — a [`Client`] that disconnects mid-sweep makes the
 //!   shard's `emit` return `false`; the service cancels the in-flight
-//!   [`crate::service::SweepHandle`] and the queue slot frees
+//!   [`crate::sweep::SweepHandle`] and the queue slot frees
 //!   immediately.
 //!
 //! ## Determinism, executed

@@ -29,11 +29,9 @@ use crate::report::ScenarioReport;
 use crate::spec::ScenarioSpec;
 use crate::wafer::{WaferEngine, WaferReport, WaferSpec};
 use crate::Result;
-use cnfet_sim::exec::ordered_par_map;
-use cnt_stats::seed::split_seed;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
+
+pub use crate::sweep::{SweepHandle, SweepItem, SweepProgress};
 
 /// Service configuration: cache bounds plus sweep defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,7 +138,10 @@ impl YieldService {
         seed: u64,
         workers: usize,
     ) -> SweepHandle {
-        SweepHandle::spawn(Arc::clone(&self.inner), specs, seed, workers)
+        let inner = Arc::clone(&self.inner);
+        SweepHandle::spawn(specs, seed, workers, move |spec, seed| {
+            inner.pipeline.evaluate(spec, seed)
+        })
     }
 
     /// Run a wafer-scale random-field workload on the shared caches with
@@ -350,130 +351,6 @@ impl YieldService {
 impl crate::router::LineServer for YieldService {
     fn serve_line(&self, line: &str, emit: &mut dyn FnMut(YieldResponse) -> bool) -> bool {
         self.handle_line_while(line, emit)
-    }
-}
-
-/// Progress snapshot of a streaming sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepProgress {
-    /// Scenarios whose evaluation has finished (any order).
-    pub completed: usize,
-    /// Reports already handed to the consumer (index order).
-    pub delivered: usize,
-    /// Scenarios in the sweep.
-    pub total: usize,
-}
-
-/// One streamed sweep result.
-#[derive(Debug)]
-pub struct SweepItem {
-    /// Index of the scenario within the sweep's spec list.
-    pub index: usize,
-    /// The evaluation outcome.
-    pub report: Result<ScenarioReport>,
-}
-
-/// A handle to an in-flight sweep: an iterator of [`SweepItem`]s in
-/// strict index order, plus cooperative cancellation and progress.
-///
-/// One driver thread runs the sweep through
-/// [`cnfet_sim::exec::ordered_par_map`], whose in-order commit sends each
-/// report down a channel, so `next()` blocks until the next index is
-/// available. After [`SweepHandle::cancel`], no new scenario is claimed
-/// (in-flight ones finish and still stream out in order) and the stream
-/// then ends. Dropping the handle cancels and joins the driver.
-pub struct SweepHandle {
-    total: usize,
-    delivered: usize,
-    rx: mpsc::Receiver<(usize, Result<ScenarioReport>)>,
-    cancel: Arc<AtomicBool>,
-    completed: Arc<AtomicUsize>,
-    driver: Option<JoinHandle<()>>,
-}
-
-impl SweepHandle {
-    fn spawn(
-        inner: Arc<ServiceInner>,
-        specs: Vec<ScenarioSpec>,
-        seed: u64,
-        workers: usize,
-    ) -> Self {
-        let total = specs.len();
-        let cancel = Arc::new(AtomicBool::new(false));
-        let completed = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = mpsc::channel();
-        let driver = {
-            let (cancel, completed) = (Arc::clone(&cancel), Arc::clone(&completed));
-            std::thread::spawn(move || {
-                ordered_par_map(
-                    total,
-                    workers,
-                    Some(&cancel),
-                    || (),
-                    |_, i| {
-                        let report = inner
-                            .pipeline
-                            .evaluate(&specs[i], split_seed(seed, i as u64));
-                        completed.fetch_add(1, Ordering::Release);
-                        report
-                    },
-                    // The handle joins this thread before its receiver
-                    // drops, so the send cannot fail.
-                    |i, report| {
-                        let _ = tx.send((i, report));
-                    },
-                );
-            })
-        };
-        Self {
-            total,
-            delivered: 0,
-            rx,
-            cancel,
-            completed,
-            driver: Some(driver),
-        }
-    }
-
-    /// The number of scenarios in the sweep.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Stop claiming new scenarios. In-flight ones finish and still
-    /// stream out in index order; the iterator then ends.
-    pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::Release);
-    }
-
-    /// A progress snapshot (safe to call between `next()` calls).
-    pub fn progress(&self) -> SweepProgress {
-        SweepProgress {
-            completed: self.completed.load(Ordering::Acquire),
-            delivered: self.delivered,
-            total: self.total,
-        }
-    }
-}
-
-impl Iterator for SweepHandle {
-    type Item = SweepItem;
-
-    /// Block until the next in-index-order item is available; `None` once
-    /// the sweep is exhausted or cancellation truncated the stream.
-    fn next(&mut self) -> Option<SweepItem> {
-        let (index, report) = self.rx.recv().ok()?;
-        self.delivered += 1;
-        Some(SweepItem { index, report })
-    }
-}
-
-impl Drop for SweepHandle {
-    fn drop(&mut self) {
-        self.cancel();
-        if let Some(driver) = self.driver.take() {
-            let _ = driver.join();
-        }
     }
 }
 

@@ -1,105 +1,67 @@
-//! Parallel Monte-Carlo execution with deterministic seeding.
-//!
-//! Work is split across scoped threads; worker `k` derives its
-//! RNG from `seed ⊕ SplitMix64(k)`, so results are reproducible for a given
-//! `(seed, workers)` pair and workers never share a stream.
+//! Tests of the Monte-Carlo engine as a whole: the adaptive driver
+//! ([`crate::adaptive`]) fanning batches out over the ordered executor
+//! ([`crate::exec`]). Test-only; the crate has no `engine` API.
 
-use cnt_stats::Summary;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-// The canonical seed-splitting rule lives in `cnt_stats::seed` (one place
-// for the whole workspace); this re-export keeps the engine's historical
-// import path working for the fan-out layers built on it.
-pub use cnt_stats::seed::split_seed;
-
-/// Run `trials` evaluations of `job` across `workers` threads and merge the
-/// per-worker [`Summary`] accumulators.
-///
-/// `job` receives a worker-local RNG and must return one sample (e.g. a
-/// conditional failure probability). Trials are split as evenly as
-/// possible; the total is exactly `trials`.
-///
-/// # Panics
-///
-/// Panics if `workers == 0` or if `job` panics in any worker.
-pub fn run_parallel<F>(trials: u64, workers: usize, seed: u64, job: F) -> Summary
-where
-    F: Fn(&mut StdRng) -> f64 + Sync,
-{
-    assert!(workers > 0, "run_parallel requires at least one worker");
-    let base = trials / workers as u64;
-    let extra = (trials % workers as u64) as usize;
-
-    let mut results: Vec<Summary> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for k in 0..workers {
-            let quota = base + (k < extra) as u64;
-            let job = &job;
-            handles.push(scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(split_seed(seed, k as u64));
-                let mut acc = Summary::new();
-                for _ in 0..quota {
-                    acc.add(job(&mut rng));
-                }
-                acc
-            }));
-        }
-        for h in handles {
-            results.push(h.join().expect("worker panicked"));
-        }
-    });
-
-    let mut merged = Summary::new();
-    for s in &results {
-        merged.merge(s);
-    }
-    merged
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::adaptive::{run_adaptive, McPrecision};
+    use rand::rngs::StdRng;
     use rand::Rng;
+
+    /// A precision target no run reaches, so every run goes to its cap.
+    fn to_the_cap(max_trials: u64, batch: u32) -> McPrecision {
+        McPrecision {
+            rel_ci: 1e-9,
+            max_trials,
+            batch,
+            level: 0.95,
+        }
+    }
 
     #[test]
     fn trial_counts_are_exact() {
-        let s = run_parallel(1001, 4, 7, |_| 1.0);
-        assert_eq!(s.count(), 1001);
-        assert_eq!(s.mean(), 1.0);
+        for workers in 1..=8 {
+            let out = run_adaptive(&to_the_cap(10_000, 250), workers, 7, |rng: &mut StdRng| {
+                rng.gen::<f64>()
+            })
+            .unwrap();
+            assert_eq!(out.trials, 10_000, "workers = {workers}");
+            assert_eq!(out.summary.count(), 10_000, "workers = {workers}");
+            assert_eq!(out.batches, 40, "workers = {workers}");
+        }
+        // A run that stops early counts committed batches only.
+        let out = run_adaptive(&to_the_cap(10_000, 250), 4, 7, |_| 1.0).unwrap();
+        assert!(out.converged);
+        assert_eq!(out.trials, u64::from(out.batches) * 250);
+        assert_eq!(out.summary.count(), out.trials);
+        assert_eq!(out.summary.mean(), 1.0);
     }
 
     #[test]
     fn deterministic_for_fixed_seed_and_workers() {
+        let precision = to_the_cap(10_000, 1_000);
         let f = |rng: &mut StdRng| rng.gen::<f64>();
-        let a = run_parallel(10_000, 3, 42, f);
-        let b = run_parallel(10_000, 3, 42, f);
-        assert_eq!(a.mean(), b.mean());
-        assert_eq!(a.variance(), b.variance());
-        let c = run_parallel(10_000, 3, 43, f);
-        assert_ne!(a.mean(), c.mean());
-    }
-
-    #[test]
-    fn workers_have_distinct_streams() {
-        // With one trial per worker, samples must differ across workers.
-        let s = run_parallel(4, 4, 9, |rng| rng.gen::<f64>());
-        assert!(
-            s.max() - s.min() > 1e-6,
-            "workers produced identical values"
-        );
+        let a = run_adaptive(&precision, 3, 42, f).unwrap();
+        let b = run_adaptive(&precision, 3, 42, f).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(a.summary.variance(), b.summary.variance());
+        // Stronger than per-(seed, workers): the worker count never matters.
+        assert_eq!(a, run_adaptive(&precision, 5, 42, f).unwrap());
+        let c = run_adaptive(&precision, 3, 43, f).unwrap();
+        assert_ne!(a.summary.mean(), c.summary.mean());
     }
 
     #[test]
     fn mean_of_uniform_converges() {
-        let s = run_parallel(200_000, 8, 11, |rng| rng.gen::<f64>());
-        assert!((s.mean() - 0.5).abs() < 0.005, "mean {}", s.mean());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_rejected() {
-        run_parallel(10, 0, 0, |_| 0.0);
+        let precision = McPrecision {
+            rel_ci: 0.005,
+            max_trials: 200_000,
+            batch: 10_000,
+            level: 0.95,
+        };
+        let out = run_adaptive(&precision, 8, 11, |rng: &mut StdRng| rng.gen::<f64>()).unwrap();
+        assert!(out.converged, "{out:?}");
+        let mean = out.summary.mean();
+        assert!((mean - 0.5).abs() < 0.005, "mean {mean}");
+        assert!(out.ci.contains(0.5), "ci {} must cover 0.5", out.ci);
     }
 }

@@ -36,6 +36,8 @@
 
 pub mod adaptive;
 pub mod condmc;
+#[cfg(test)]
+mod engine;
 pub mod exec;
 pub mod rundp;
 
