@@ -84,7 +84,7 @@ impl FabAxis {
             Some((knob, param))
         });
         let Some((knob, param)) = parsed else {
-            return Err(cnfet_pipeline::builder::unknown_key(
+            return Err(cnfet_pipeline::json::unknown_key(
                 "fab search axis",
                 key,
                 &axis_key_candidates(),
@@ -168,11 +168,7 @@ impl FabSpec {
         let fields = doc
             .as_object()
             .ok_or_else(|| invalid("fab", "document must be an object"))?;
-        for (key, _) in fields {
-            if !FAB_KEYS.contains(&key.as_str()) {
-                return Err(cnfet_pipeline::builder::unknown_key("fab", key, &FAB_KEYS));
-            }
-        }
+        cnfet_pipeline::json::check_keys("fab", fields, &FAB_KEYS)?;
         let name = match doc.get("name") {
             None => "fab".to_string(),
             Some(v) => v

@@ -8,17 +8,17 @@
 //! ([`ScenarioBuilder::set_json`]) is one client of them, and
 //! [`ScenarioBuilder::build`] is the single place a spec is validated.
 //!
-//! Unknown field names fail with [`PipelineError::UnknownKey`], which
+//! Unknown field names fail with [`crate::PipelineError::UnknownKey`], which
 //! carries the nearest valid key by edit distance — `"yeild_target"`
 //! suggests `yield_target` — so the error is machine-actionable all the
 //! way up through the service envelope layer.
 
-use crate::json::Json;
+use crate::json::{check_keys, int, invalid, unknown_key, Json, TaggedForm};
 use crate::spec::{
     redundancy_from_json, BackendSpec, CornerSpec, CorrelationSpec, LibrarySpec, MminSpec,
     PuritySpec, RhoSpec, ScenarioSpec,
 };
-use crate::{PipelineError, Result};
+use crate::Result;
 use cnfet_fault::RedundancyScheme;
 use cnfet_layout::GridPolicy;
 
@@ -44,48 +44,6 @@ pub const SCENARIO_KEYS: [&str; 17] = [
     "fast_design",
     "mc_trials",
 ];
-
-/// Levenshtein edit distance (iterative two-row form).
-fn edit_distance(a: &str, b: &str) -> usize {
-    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut curr = vec![0usize; b.len() + 1];
-    for (i, ca) in a.iter().enumerate() {
-        curr[0] = i + 1;
-        for (j, cb) in b.iter().enumerate() {
-            let subst = prev[j] + usize::from(ca != cb);
-            curr[j + 1] = subst.min(prev[j + 1] + 1).min(curr[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[b.len()]
-}
-
-/// The closest candidate to `key` by edit distance, if it is close enough
-/// to plausibly be a typo (distance ≤ max(2, len/3), ties broken by
-/// candidate order).
-pub(crate) fn suggest(key: &str, candidates: &[&'static str]) -> Option<&'static str> {
-    let budget = (key.chars().count() / 3).max(2);
-    candidates
-        .iter()
-        .map(|c| (edit_distance(key, c), *c))
-        .min_by_key(|(d, _)| *d)
-        .filter(|(d, _)| *d <= budget)
-        .map(|(_, c)| c)
-}
-
-/// Build an [`PipelineError::UnknownKey`] with the nearest valid key by
-/// edit distance (suggested when the typo is within max(2, len/3) edits).
-/// Public so downstream front ends (the `cnfet-opt` fab search, custom
-/// spec layers) report typos with the same structure and suggestion rule
-/// as the core parsers.
-pub fn unknown_key(context: &'static str, key: &str, candidates: &[&'static str]) -> PipelineError {
-    PipelineError::UnknownKey {
-        context,
-        key: key.to_string(),
-        suggestion: suggest(key, candidates).map(str::to_string),
-    }
-}
 
 /// A typed, validating builder over [`ScenarioSpec`].
 ///
@@ -236,14 +194,10 @@ impl ScenarioBuilder {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::UnknownKey`] (with a nearest-key suggestion) for
-    /// unknown field names, [`PipelineError::InvalidSpec`] for wrong
+    /// [`crate::PipelineError::UnknownKey`] (with a nearest-key suggestion) for
+    /// unknown field names, [`crate::PipelineError::InvalidSpec`] for wrong
     /// types.
     pub fn set_json(mut self, key: &str, value: &Json) -> Result<Self> {
-        let invalid = |field: &'static str, msg: &str| PipelineError::InvalidSpec {
-            field,
-            msg: msg.into(),
-        };
         let num = |field: &'static str| -> Result<f64> {
             value
                 .as_f64()
@@ -304,10 +258,7 @@ impl ScenarioBuilder {
                     .ok_or_else(|| invalid("fast_design", "must be a boolean"))?;
                 Ok(self.fast_design(v))
             }
-            "mc_trials" => {
-                let v = num("mc_trials")?;
-                Ok(self.mc_trials(v as u32))
-            }
+            "mc_trials" => Ok(self.mc_trials(int("mc_trials", key, value, 0..=u32::MAX)?)),
             other => Err(unknown_key("scenario", other, &SCENARIO_KEYS)),
         }
     }
@@ -321,7 +272,7 @@ impl ScenarioBuilder {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::InvalidSpec`] naming the offending field.
+    /// [`crate::PipelineError::InvalidSpec`] naming the offending field.
     pub fn build(self) -> Result<ScenarioSpec> {
         self.spec.validate()?;
         Ok(self.spec)
@@ -476,170 +427,87 @@ impl SearcherSpec {
         }
     }
 
-    /// Parse the `BackendSpec`-style forms: a bare name (`"grid"`,
-    /// `"genetic"`, …), an object with a `kind` plus strategy parameters
-    /// (`{"kind": "genetic", "population": 32}`), or the nested
-    /// single-key form (`{"genetic": {"population": 32}}`,
-    /// `{"halving": {"inner": "genetic", "eta": 3}}`).
+    /// The wire table: kinds and parameters, in print order.
+    const FORM: TaggedForm<4> = TaggedForm {
+        kinds: SEARCHER_KINDS,
+        params: [
+            &[],
+            &["restarts", "max_sweeps"],
+            &["population", "generations", "tournament_k", "mutation_rate"],
+            &["inner", "rungs", "eta"],
+        ],
+    };
+
+    /// Parse any of the tagged wire forms: a bare
+    /// name (`"grid"`, `"genetic"`, …), an object with a `kind` plus
+    /// strategy parameters (`{"kind": "genetic", "population": 32}`), or
+    /// the nested single-key form (`{"genetic": {"population": 32}}`,
+    /// `{"halving": {"inner": "genetic", "eta": 3}}`). Omitted parameters
+    /// take the defaults.
     ///
     /// # Errors
     ///
-    /// [`PipelineError::UnknownKey`] (with a nearest-kind suggestion) on
+    /// [`crate::PipelineError::UnknownKey`] (with a nearest-kind suggestion) on
     /// unknown strategy or parameter names,
-    /// [`PipelineError::InvalidSpec`] on mistyped or out-of-domain
+    /// [`crate::PipelineError::InvalidSpec`] on mistyped or out-of-domain
     /// parameters — all at parse time, never mid-search.
     pub fn from_json(v: &Json) -> Result<Self> {
-        let invalid = |msg: String| PipelineError::InvalidSpec {
-            field: "searcher",
-            msg,
-        };
-        match v {
-            Json::Str(s) => match s.as_str() {
-                "grid" => Ok(SearcherSpec::GridScan),
-                "coordinate-descent" => Ok(coordinate_descent_defaults()),
-                "genetic" => Ok(genetic_defaults()),
-                "halving" => Ok(halving_defaults()),
-                other => Err(unknown_key("searcher", other, &SEARCHER_KINDS)),
-            },
-            Json::Obj(fields) => {
-                if let Some(kind) = v.get("kind") {
-                    let kind = kind
-                        .as_str()
-                        .ok_or_else(|| invalid("`kind` must be a string".into()))?;
-                    Self::from_kind_fields(kind, v, fields, true)
-                } else if fields.len() == 1 {
-                    // Nested single-key form: { "genetic": { … } }.
-                    let (kind, params) = &fields[0];
-                    if !SEARCHER_KINDS.contains(&kind.as_str()) {
-                        return Err(unknown_key("searcher", kind, &SEARCHER_KINDS));
-                    }
-                    let inner_fields = params
-                        .as_object()
-                        .ok_or_else(|| invalid(format!("`{kind}` parameters must be an object")))?;
-                    Self::from_kind_fields(kind, params, inner_fields, false)
-                } else {
-                    Err(invalid(
-                        "object form needs a `kind` string or a single strategy key".into(),
-                    ))
-                }
-            }
-            _ => Err(invalid("must be a string or an object".into())),
-        }
-    }
-
-    /// Parse one strategy's parameter object. `with_kind` marks the
-    /// `kind`-tagged form (where a `kind` key is legal among the fields).
-    fn from_kind_fields(
-        kind: &str,
-        v: &Json,
-        fields: &[(String, Json)],
-        with_kind: bool,
-    ) -> Result<Self> {
-        let invalid = |msg: String| PipelineError::InvalidSpec {
-            field: "searcher",
-            msg,
-        };
-        let check_keys = |allowed: &[&'static str]| -> Result<()> {
-            for (key, _) in fields {
-                let known = (with_kind && key == "kind") || allowed.contains(&key.as_str());
-                if !known {
-                    return Err(unknown_key("searcher", key, allowed));
-                }
-            }
-            Ok(())
-        };
-        let int_field = |key: &str, min: f64| -> Result<Option<u32>> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(j) => j
-                    .as_f64()
-                    .filter(|n| n.fract() == 0.0 && *n >= min && *n <= 1e6)
-                    .map(|n| Some(n as u32))
-                    .ok_or_else(|| {
-                        invalid(format!("`{key}` must be an integer >= {min} (and <= 1e6)"))
-                    }),
-            }
-        };
-        match kind {
-            "grid" => {
-                check_keys(&[])?;
-                Ok(SearcherSpec::GridScan)
-            }
-            "coordinate-descent" => {
-                check_keys(&["restarts", "max_sweeps"])?;
-                let SearcherSpec::CoordinateDescent {
-                    restarts: dr,
-                    max_sweeps: ds,
-                } = coordinate_descent_defaults()
-                else {
-                    unreachable!("defaults are coordinate descent")
-                };
-                Ok(SearcherSpec::CoordinateDescent {
-                    restarts: int_field("restarts", 1.0)?.unwrap_or(dr),
-                    max_sweeps: int_field("max_sweeps", 1.0)?.unwrap_or(ds),
-                })
-            }
-            "genetic" => {
-                check_keys(&["population", "generations", "tournament_k", "mutation_rate"])?;
-                let SearcherSpec::Genetic {
-                    population: dp,
-                    generations: dg,
-                    tournament_k: dk,
-                    mutation_rate: dm,
-                } = genetic_defaults()
-                else {
-                    unreachable!("defaults are genetic")
-                };
-                let population = int_field("population", 2.0)?.unwrap_or(dp);
-                let tournament_k = int_field("tournament_k", 1.0)?.unwrap_or(dk);
+        let t = Self::FORM.parse("searcher", v)?;
+        let count = |key: &str, min: u32| t.int(key, min..=1_000_000);
+        match Self::defaults(t.kind) {
+            SearcherSpec::CoordinateDescent {
+                restarts,
+                max_sweeps,
+            } => Ok(SearcherSpec::CoordinateDescent {
+                restarts: count("restarts", 1)?.unwrap_or(restarts),
+                max_sweeps: count("max_sweeps", 1)?.unwrap_or(max_sweeps),
+            }),
+            SearcherSpec::Genetic {
+                population,
+                generations,
+                tournament_k,
+                mutation_rate,
+            } => {
+                let population = count("population", 2)?.unwrap_or(population);
+                let tournament_k = count("tournament_k", 1)?.unwrap_or(tournament_k);
                 if tournament_k > population {
-                    return Err(invalid(format!(
-                        "`tournament_k` ({tournament_k}) must not exceed \
-                         `population` ({population})"
-                    )));
+                    return Err(invalid(
+                        "searcher",
+                        format!(
+                            "`tournament_k` ({tournament_k}) must not exceed \
+                             `population` ({population})"
+                        ),
+                    ));
                 }
-                let mutation_rate = match v.get("mutation_rate") {
-                    None => dm,
+                let mutation_rate = match t.get("mutation_rate") {
+                    None => mutation_rate,
                     Some(j) => j
                         .as_f64()
                         .filter(|m| (0.0..=1.0).contains(m))
                         .ok_or_else(|| {
-                            invalid("`mutation_rate` must be a number in [0, 1]".into())
+                            invalid("searcher", "`mutation_rate` must be a number in [0, 1]")
                         })?,
                 };
                 Ok(SearcherSpec::Genetic {
                     population,
-                    generations: int_field("generations", 0.0)?.unwrap_or(dg),
+                    generations: count("generations", 0)?.unwrap_or(generations),
                     tournament_k,
                     mutation_rate,
                 })
             }
-            "halving" => {
-                check_keys(&["inner", "rungs", "eta"])?;
+            SearcherSpec::Halving { inner, rungs, eta } => {
                 // The regression contract: eta < 2 and rungs == 0 are
                 // parse-time errors, never a mid-search panic.
-                let rungs = int_field("rungs", 1.0)?.map_or(Ok(3), |r| {
-                    if r == 0 {
-                        Err(invalid("`rungs` must be >= 1".into()))
-                    } else {
-                        Ok(r)
-                    }
-                })?;
-                let eta = match v.get("eta") {
-                    None => 2,
-                    Some(j) => j
-                        .as_f64()
-                        .filter(|n| n.fract() == 0.0 && (2.0..=64.0).contains(n))
-                        .map(|n| n as u32)
-                        .ok_or_else(|| invalid("`eta` must be an integer in [2, 64]".into()))?,
-                };
-                let inner = match v.get("inner") {
-                    None => genetic_defaults(),
+                let rungs = count("rungs", 1)?.unwrap_or(rungs);
+                let eta = t.int("eta", 2..=64)?.unwrap_or(eta);
+                let inner = match t.get("inner") {
+                    None => *inner,
                     Some(j) => Self::from_json(j)?,
                 };
                 if matches!(inner, SearcherSpec::Halving { .. }) {
                     return Err(invalid(
-                        "`halving` cannot nest another `halving` ladder".into(),
+                        "searcher",
+                        "`halving` cannot nest another `halving` ladder",
                     ));
                 }
                 Ok(SearcherSpec::Halving {
@@ -648,42 +516,46 @@ impl SearcherSpec {
                     eta,
                 })
             }
-            other => Err(unknown_key("searcher", other, &SEARCHER_KINDS)),
+            SearcherSpec::GridScan => Ok(SearcherSpec::GridScan),
         }
     }
 
-    /// Serialize to the wire form (normal `kind` object for parameterized
-    /// strategies, bare string otherwise).
+    /// The defaults of strategy `kind`.
+    fn defaults(kind: &str) -> Self {
+        match kind {
+            "coordinate-descent" => coordinate_descent_defaults(),
+            "genetic" => genetic_defaults(),
+            "halving" => halving_defaults(),
+            _ => SearcherSpec::GridScan,
+        }
+    }
+
+    /// Serialize to the wire normal form: the bare name for `grid`, the
+    /// `kind` object otherwise.
     pub fn to_json(&self) -> Json {
-        match self {
-            SearcherSpec::GridScan => Json::Str("grid".into()),
+        let n = |v: u32| Json::Num(f64::from(v));
+        let values = match self {
+            SearcherSpec::GridScan => vec![],
             SearcherSpec::CoordinateDescent {
                 restarts,
                 max_sweeps,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::Str("coordinate-descent".into())),
-                ("restarts".into(), Json::Num(f64::from(*restarts))),
-                ("max_sweeps".into(), Json::Num(f64::from(*max_sweeps))),
-            ]),
+            } => vec![n(*restarts), n(*max_sweeps)],
             SearcherSpec::Genetic {
                 population,
                 generations,
                 tournament_k,
                 mutation_rate,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::Str("genetic".into())),
-                ("population".into(), Json::Num(f64::from(*population))),
-                ("generations".into(), Json::Num(f64::from(*generations))),
-                ("tournament_k".into(), Json::Num(f64::from(*tournament_k))),
-                ("mutation_rate".into(), Json::Num(*mutation_rate)),
-            ]),
-            SearcherSpec::Halving { inner, rungs, eta } => Json::Obj(vec![
-                ("kind".into(), Json::Str("halving".into())),
-                ("inner".into(), inner.to_json()),
-                ("rungs".into(), Json::Num(f64::from(*rungs))),
-                ("eta".into(), Json::Num(f64::from(*eta))),
-            ]),
-        }
+            } => vec![
+                n(*population),
+                n(*generations),
+                n(*tournament_k),
+                Json::Num(*mutation_rate),
+            ],
+            SearcherSpec::Halving { inner, rungs, eta } => {
+                vec![inner.to_json(), n(*rungs), n(*eta)]
+            }
+        };
+        Self::FORM.print(self.name(), values)
     }
 }
 
@@ -725,13 +597,6 @@ pub struct CoOptSpec {
     pub searcher: SearcherSpec,
 }
 
-fn invalid_coopt(field: &'static str, msg: impl Into<String>) -> PipelineError {
-    PipelineError::InvalidSpec {
-        field,
-        msg: msg.into(),
-    }
-}
-
 /// Parse the `objective` object onto [`cnfet_core::objective::CostWeights`]
 /// (every field optional, defaults from `CostWeights::default`).
 fn cost_weights_from_json(v: &Json) -> Result<cnfet_core::objective::CostWeights> {
@@ -744,21 +609,9 @@ fn cost_weights_from_json(v: &Json) -> Result<cnfet_core::objective::CostWeights
     ];
     let fields = v
         .as_object()
-        .ok_or_else(|| invalid_coopt("objective", "must be an object"))?;
-    for (key, _) in fields {
-        if !KEYS.contains(&key.as_str()) {
-            return Err(unknown_key("objective", key, &KEYS));
-        }
-    }
-    let field = |key: &str| -> Result<Option<f64>> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(j) => j
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| invalid_coopt("objective", format!("`{key}` must be a number"))),
-        }
-    };
+        .ok_or_else(|| invalid("objective", "must be an object"))?;
+    check_keys("objective", fields, &KEYS)?;
+    let field = |key: &str| crate::json::num("objective", key, v.get(key));
     let d = cnfet_core::objective::CostWeights::default();
     Ok(cnfet_core::objective::CostWeights {
         w_min_weight: field("w_min_weight")?.unwrap_or(d.w_min_weight),
@@ -795,32 +648,28 @@ impl SearchAxis {
         let values: Vec<Json> = match v {
             Json::Arr(values) if !values.is_empty() => values.clone(),
             Json::Arr(_) => {
-                return Err(invalid_coopt(
+                return Err(invalid(
                     "search",
                     format!("axis `{key}` must list at least one value"),
                 ))
             }
             Json::Obj(fields) => {
-                for (k, _) in fields {
-                    if !["min", "max", "steps"].contains(&k.as_str()) {
-                        return Err(unknown_key("search range", k, &["min", "max", "steps"]));
-                    }
-                }
+                check_keys("search range", fields, &["min", "max", "steps"])?;
                 let num = |k: &str| -> Result<f64> {
                     v.get(k).and_then(Json::as_f64).ok_or_else(|| {
-                        invalid_coopt("search", format!("range for `{key}` needs a number `{k}`"))
+                        invalid("search", format!("range for `{key}` needs a number `{k}`"))
                     })
                 };
                 let (min, max) = (num("min")?, num("max")?);
                 let steps = num("steps")?;
                 if !(steps.fract() == 0.0 && (2.0..=10_000.0).contains(&steps)) {
-                    return Err(invalid_coopt(
+                    return Err(invalid(
                         "search",
                         format!("range for `{key}` needs integer `steps` in [2, 10000]"),
                     ));
                 }
                 if !(min.is_finite() && max.is_finite() && min < max) {
-                    return Err(invalid_coopt(
+                    return Err(invalid(
                         "search",
                         format!("range for `{key}` needs finite min < max"),
                     ));
@@ -831,7 +680,7 @@ impl SearchAxis {
                     .collect()
             }
             _ => {
-                return Err(invalid_coopt(
+                return Err(invalid(
                     "search",
                     format!("axis `{key}` must be a value array or a min/max/steps range"),
                 ))
@@ -849,7 +698,7 @@ impl CoOptSpec {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::Parse`] for malformed JSON, otherwise as
+    /// [`crate::PipelineError::Parse`] for malformed JSON, otherwise as
     /// [`CoOptSpec::from_json`].
     pub fn parse(src: &str) -> Result<Self> {
         Self::from_json(&Json::parse(src)?)
@@ -862,29 +711,25 @@ impl CoOptSpec {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::UnknownKey`] / [`PipelineError::InvalidSpec`] for
+    /// [`crate::PipelineError::UnknownKey`] / [`crate::PipelineError::InvalidSpec`] for
     /// unknown sections, unknown fields, or out-of-domain values.
     pub fn from_json(doc: &Json) -> Result<Self> {
-        for (key, _) in doc
+        let sections = doc
             .as_object()
-            .ok_or_else(|| invalid_coopt("co_opt", "document must be an object"))?
-        {
-            if !COOPT_KEYS.contains(&key.as_str()) {
-                return Err(unknown_key("co_opt", key, &COOPT_KEYS));
-            }
-        }
+            .ok_or_else(|| invalid("co_opt", "document must be an object"))?;
+        check_keys("co_opt", sections, &COOPT_KEYS)?;
         let name = match doc.get("name") {
             None => "coopt".to_string(),
             Some(v) => v
                 .as_str()
-                .ok_or_else(|| invalid_coopt("name", "must be a string"))?
+                .ok_or_else(|| invalid("name", "must be a string"))?
                 .to_string(),
         };
         let mut builder = ScenarioBuilder::new(name.clone());
         if let Some(base) = doc.get("base") {
             let fields = base
                 .as_object()
-                .ok_or_else(|| invalid_coopt("base", "must be an object"))?;
+                .ok_or_else(|| invalid("base", "must be an object"))?;
             for (key, value) in fields {
                 builder = builder.set_json(key, value)?;
             }
@@ -893,12 +738,12 @@ impl CoOptSpec {
 
         let search = doc
             .get("search")
-            .ok_or_else(|| invalid_coopt("search", "a co_opt spec needs a `search` object"))?;
+            .ok_or_else(|| invalid("search", "a co_opt spec needs a `search` object"))?;
         let entries = search
             .as_object()
-            .ok_or_else(|| invalid_coopt("search", "must be an object"))?;
+            .ok_or_else(|| invalid("search", "must be an object"))?;
         if entries.is_empty() {
-            return Err(invalid_coopt("search", "needs at least one axis"));
+            return Err(invalid("search", "needs at least one axis"));
         }
         let mut axes = Vec::with_capacity(entries.len());
         for (key, value) in entries {
@@ -920,7 +765,7 @@ impl CoOptSpec {
         };
         objective
             .validate()
-            .map_err(|e| invalid_coopt("objective", e.to_string()))?;
+            .map_err(|e| invalid("objective", e.to_string()))?;
 
         let searcher = match doc.get("searcher") {
             None => SearcherSpec::GridScan,
@@ -963,23 +808,23 @@ impl CoOptSpec {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::InvalidSpec`] naming the offending section.
+    /// [`crate::PipelineError::InvalidSpec`] naming the offending section.
     pub fn validate(&self) -> Result<()> {
         self.base.validate()?;
         self.objective
             .validate()
-            .map_err(|e| invalid_coopt("objective", e.to_string()))?;
+            .map_err(|e| invalid("objective", e.to_string()))?;
         if self.axes.is_empty() {
-            return Err(invalid_coopt("search", "needs at least one axis"));
+            return Err(invalid("search", "needs at least one axis"));
         }
         let mut keys: Vec<&str> = self.axes.iter().map(|a| a.key.as_str()).collect();
         keys.sort_unstable();
         if keys.windows(2).any(|p| p[0] == p[1]) {
-            return Err(invalid_coopt("search", "axis keys must be unique"));
+            return Err(invalid("search", "axis keys must be unique"));
         }
         for axis in &self.axes {
             if axis.values.is_empty() {
-                return Err(invalid_coopt(
+                return Err(invalid(
                     "search",
                     format!("axis `{}` must list at least one value", axis.key),
                 ));
@@ -987,7 +832,7 @@ impl CoOptSpec {
         }
         const MAX_CANDIDATES: u64 = 1_000_000;
         if self.candidate_count() > MAX_CANDIDATES {
-            return Err(invalid_coopt(
+            return Err(invalid(
                 "search",
                 format!("search space exceeds {MAX_CANDIDATES} candidates"),
             ));
@@ -1011,11 +856,11 @@ impl CoOptSpec {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::InvalidSpec`] for an out-of-range choice vector or
+    /// [`crate::PipelineError::InvalidSpec`] for an out-of-range choice vector or
     /// a candidate whose merged fields fail validation.
     pub fn scenario(&self, choice: &[usize]) -> Result<ScenarioSpec> {
         if choice.len() != self.axes.len() {
-            return Err(invalid_coopt(
+            return Err(invalid(
                 "search",
                 format!(
                     "choice vector has {} entries for {} axes",
@@ -1028,7 +873,7 @@ impl CoOptSpec {
         let mut parts = vec![self.name.clone()];
         for (axis, &i) in self.axes.iter().zip(choice) {
             let value = axis.values.get(i).ok_or_else(|| {
-                invalid_coopt(
+                invalid(
                     "search",
                     format!("choice {i} out of range for axis `{}`", axis.key),
                 )
@@ -1046,7 +891,7 @@ impl CoOptSpec {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::InvalidSpec`] for an out-of-range choice vector.
+    /// [`crate::PipelineError::InvalidSpec`] for an out-of-range choice vector.
     pub fn demand(&self, choice: &[usize]) -> Result<f64> {
         if choice.len() != self.axes.len()
             || self
@@ -1055,7 +900,7 @@ impl CoOptSpec {
                 .zip(choice)
                 .any(|(a, &i)| i >= a.values.len())
         {
-            return Err(invalid_coopt("search", "choice vector out of range"));
+            return Err(invalid("search", "choice vector out of range"));
         }
         let mut sum = 0.0;
         let mut n = 0u32;
@@ -1072,6 +917,7 @@ impl CoOptSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PipelineError;
 
     #[test]
     fn typed_setters_build_a_valid_spec() {
@@ -1164,14 +1010,5 @@ mod tests {
             PipelineError::UnknownKey { suggestion, .. } => assert_eq!(suggestion, None),
             other => panic!("expected UnknownKey, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn edit_distance_basics() {
-        assert_eq!(edit_distance("", "abc"), 3);
-        assert_eq!(edit_distance("abc", "abc"), 0);
-        assert_eq!(edit_distance("kitten", "sitting"), 3);
-        assert_eq!(suggest("nodenm", &SCENARIO_KEYS), Some("node_nm"));
-        assert_eq!(suggest("backened", &SCENARIO_KEYS), Some("backend"));
     }
 }

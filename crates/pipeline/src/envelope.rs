@@ -127,7 +127,7 @@
 //! ```
 
 use crate::builder::{CoOptSpec, COOPT_KEYS, SCENARIO_KEYS, SEARCHER_KINDS};
-use crate::json::Json;
+use crate::json::{check_keys, unknown_key, Json};
 use crate::report::{CoOptReport, ScenarioReport};
 use crate::spec::{BackendSpec, CorrelationSpec, LibrarySpec, ScenarioGrid, ScenarioSpec};
 use crate::wafer::{WaferReport, WaferSpec, WAFER_KEYS};
@@ -360,15 +360,7 @@ impl YieldRequest {
         let fields = v
             .as_object()
             .ok_or_else(|| bad("request must be an object"))?;
-        for (key, _) in fields {
-            if !["schema", "id", "body"].contains(&key.as_str()) {
-                return Err(crate::builder::unknown_key(
-                    "request",
-                    key,
-                    &["schema", "id", "body"],
-                ));
-            }
-        }
+        check_keys("request", fields, &["schema", "id", "body"])?;
         // `as_u64` keeps `schema: 1.9` / `schema: -1` from being silently
         // truncated into a supported (or misreported) version; any
         // well-formed integer still reaches the service's version check.
@@ -397,10 +389,28 @@ impl YieldRequest {
         let [(kind, payload)] = fields else {
             return Err(bad("`body` must have exactly one key"));
         };
+        // A typo'd `seed` or `workers` must error with a suggestion, not
+        // silently fall back to the default.
+        let (context, allowed): (_, &[_]) = match kind.as_str() {
+            "describe" => return Ok(RequestBody::Describe),
+            "evaluate" => ("evaluate request", &["spec", "seed"]),
+            "sweep" => ("sweep request", &["grid", "seed", "workers"]),
+            "co_opt" => ("co_opt request", &["spec", "seed", "workers"]),
+            "wafer" => ("wafer request", &["spec", "seed", "workers"]),
+            other => {
+                return Err(unknown_key(
+                    "request body",
+                    other,
+                    &["evaluate", "sweep", "co_opt", "wafer", "describe"],
+                ))
+            }
+        };
+        let payload_fields = payload
+            .as_object()
+            .ok_or_else(|| bad(format!("{context} payload must be an object")))?;
+        check_keys(context, payload_fields, allowed)?;
         match kind.as_str() {
-            "describe" => Ok(RequestBody::Describe),
             "evaluate" => {
-                reject_unknown_keys("evaluate request", payload, &["spec", "seed"])?;
                 let spec = payload
                     .get("spec")
                     .ok_or_else(|| bad("`evaluate` needs a `spec` object"))?;
@@ -410,7 +420,6 @@ impl YieldRequest {
                 })
             }
             "sweep" => {
-                reject_unknown_keys("sweep request", payload, &["grid", "seed", "workers"])?;
                 let grid = payload
                     .get("grid")
                     .ok_or_else(|| bad("`sweep` needs a `grid` object"))?;
@@ -421,7 +430,6 @@ impl YieldRequest {
                 })
             }
             "co_opt" => {
-                reject_unknown_keys("co_opt request", payload, &["spec", "seed", "workers"])?;
                 let spec = payload
                     .get("spec")
                     .ok_or_else(|| bad("`co_opt` needs a `spec` object"))?;
@@ -432,7 +440,6 @@ impl YieldRequest {
                 })
             }
             "wafer" => {
-                reject_unknown_keys("wafer request", payload, &["spec", "seed", "workers"])?;
                 let spec = payload
                     .get("spec")
                     .ok_or_else(|| bad("`wafer` needs a `spec` object"))?;
@@ -442,31 +449,9 @@ impl YieldRequest {
                     workers: opt_workers(payload)?,
                 })
             }
-            other => Err(crate::builder::unknown_key(
-                "request body",
-                other,
-                &["evaluate", "sweep", "co_opt", "wafer", "describe"],
-            )),
+            _ => unreachable!("body kinds are matched above"),
         }
     }
-}
-
-/// Reject payload keys outside `allowed` — a typo'd `seed` or `workers`
-/// must error with a suggestion, not silently fall back to defaults.
-fn reject_unknown_keys(
-    context: &'static str,
-    payload: &Json,
-    allowed: &[&'static str],
-) -> Result<()> {
-    let fields = payload
-        .as_object()
-        .ok_or_else(|| bad(format!("{context} payload must be an object")))?;
-    for (key, _) in fields {
-        if !allowed.contains(&key.as_str()) {
-            return Err(crate::builder::unknown_key(context, key, allowed));
-        }
-    }
-    Ok(())
 }
 
 /// Optional `workers` field: a positive integer when present.

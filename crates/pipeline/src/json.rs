@@ -7,9 +7,19 @@
 //! conveniences for human-edited grid files: `//`- and `#`-style comments
 //! and trailing commas. Object key order is preserved, so written artifacts
 //! are stable and diffable.
+//!
+//! The module also holds the one codec every *tagged* wire enum goes
+//! through (`TaggedForm`: a bare kind name, a `kind`-tagged object, or a
+//! nested single-key object), the shared unknown-key check
+//! ([`check_keys`]) with its nearest-name suggestion ([`unknown_key`]),
+//! and the number and integer readers that parameters share.
 
 use crate::{PipelineError, Result};
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::ops::RangeInclusive;
+
+/// 2⁵³: every integer up to it is exact in an `f64`.
+const MAX_EXACT_INT: u64 = 1 << 53;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,8 +88,7 @@ impl Json {
     /// decimal string above that. JSON numbers travel as doubles, which
     /// would corrupt the low bits of full-range values like split seeds.
     pub fn from_u64(n: u64) -> Json {
-        const F64_EXACT: u64 = 1 << 53;
-        if n <= F64_EXACT {
+        if n <= MAX_EXACT_INT {
             Json::Num(n as f64)
         } else {
             Json::Str(n.to_string())
@@ -90,7 +99,7 @@ impl Json {
     /// non-negative integral number or decimal string).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= (1u64 << 53) as f64 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INT as f64 => {
                 Some(*n as u64)
             }
             Json::Str(s) => s.parse().ok(),
@@ -246,6 +255,266 @@ fn write_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// A scenario-field error ([`PipelineError::InvalidSpec`], `bad_spec` on
+/// the wire).
+pub(crate) fn invalid(field: &'static str, msg: impl Into<String>) -> PipelineError {
+    PipelineError::InvalidSpec {
+        field,
+        msg: msg.into(),
+    }
+}
+
+/// Levenshtein edit distance (iterative two-row form).
+fn edit_distance(a: &str, b: &str) -> usize {
+    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    let mut curr = vec![0usize; b.len() + 1];
+    for (i, ca) in a.iter().enumerate() {
+        curr[0] = i + 1;
+        for (j, cb) in b.iter().enumerate() {
+            let subst = prev[j] + usize::from(ca != cb);
+            curr[j + 1] = subst.min(prev[j + 1] + 1).min(curr[j] + 1);
+        }
+        std::mem::swap(&mut prev, &mut curr);
+    }
+    prev[b.len()]
+}
+
+/// The closest candidate to `key` by edit distance, if it is close enough
+/// to plausibly be a typo (distance ≤ max(2, len/3), ties broken by
+/// candidate order).
+fn suggest(key: &str, candidates: &[&'static str]) -> Option<&'static str> {
+    let budget = (key.chars().count() / 3).max(2);
+    candidates
+        .iter()
+        .map(|c| (edit_distance(key, c), *c))
+        .min_by_key(|(d, _)| *d)
+        .filter(|(d, _)| *d <= budget)
+        .map(|(_, c)| c)
+}
+
+/// Build an [`PipelineError::UnknownKey`] with the nearest valid key by
+/// edit distance (suggested when the typo is within max(2, len/3) edits).
+/// Public so downstream front ends (the `cnfet-opt` fab search, custom
+/// spec layers) report typos with the same structure and suggestion rule
+/// as the core parsers.
+pub fn unknown_key(context: &'static str, key: &str, candidates: &[&'static str]) -> PipelineError {
+    PipelineError::UnknownKey {
+        context,
+        key: key.to_string(),
+        suggestion: suggest(key, candidates).map(str::to_string),
+    }
+}
+
+/// Reject the first of `fields` whose key is not in `allowed` with
+/// [`unknown_key`]. The suggestion skips keys already present: the parser
+/// rejects duplicate keys, so a typo cannot have meant one of them.
+///
+/// # Errors
+///
+/// [`PipelineError::UnknownKey`] naming `context`.
+pub fn check_keys<'a, I>(context: &'static str, fields: I, allowed: &[&'static str]) -> Result<()>
+where
+    I: IntoIterator<Item = &'a (String, Json)>,
+    I::IntoIter: Clone,
+{
+    let fields = fields.into_iter();
+    let Some((key, _)) = fields.clone().find(|(k, _)| !allowed.contains(&k.as_str())) else {
+        return Ok(());
+    };
+    let absent: Vec<&'static str> = allowed
+        .iter()
+        .copied()
+        .filter(|a| fields.clone().all(|(k, _)| k != a))
+        .collect();
+    Err(unknown_key(context, key, &absent))
+}
+
+/// Read `v`, if given, as a number; any other value is a `bad_spec` error
+/// on `field` naming `key`.
+pub(crate) fn num(field: &'static str, key: &str, v: Option<&Json>) -> Result<Option<f64>> {
+    v.map(|j| {
+        j.as_f64()
+            .ok_or_else(|| invalid(field, format!("`{key}` must be a number")))
+    })
+    .transpose()
+}
+
+/// Read `v` as an integer in `range`, whose end must not pass 2⁵³ (as
+/// [`Json::as_u64`]). A non-number, or a fractional, negative or
+/// out-of-range number, is a `bad_spec` error on `field` naming `key`.
+pub(crate) fn int<T>(
+    field: &'static str,
+    key: &str,
+    v: &Json,
+    range: RangeInclusive<T>,
+) -> Result<T>
+where
+    T: Copy + Display + Into<u64> + TryFrom<u64>,
+{
+    let (lo, hi): (u64, u64) = ((*range.start()).into(), (*range.end()).into());
+    debug_assert!(hi <= MAX_EXACT_INT, "`{key}` range ends past 2^53");
+    v.as_f64()
+        .filter(|n| n.fract() == 0.0 && (lo as f64..=hi as f64).contains(n))
+        .and_then(|n| T::try_from(n as u64).ok())
+        .ok_or_else(|| {
+            invalid(
+                field,
+                format!(
+                    "`{key}` must be an integer in [{}, {}]",
+                    range.start(),
+                    range.end()
+                ),
+            )
+        })
+}
+
+/// The table of one tagged wire enum (the count back-end, a redundancy
+/// scheme, a distribution, a searcher): its kind names and, aligned with
+/// them, each kind's parameter names in print order.
+///
+/// [`TaggedForm::parse`] reads three forms. An unknown kind or parameter
+/// answers `unknown_key`, suggesting the nearest kind or parameter name.
+///
+/// * A **bare kind name**, `"tmr"`, is that kind with no parameters, so a
+///   kind that needs some answers `bad_spec` "`<kind>` needs parameters
+///   (use the object form)" (from [`Tagged::need`]).
+/// * In an **object with a `kind` key**, `{"kind": "uniform", "lo": 0,
+///   "hi": 1}`, `kind` must be a string (else `bad_spec`) and every other
+///   key one of the kind's parameters.
+/// * In an **object with one key that is not `kind`**, `{"uniform":
+///   {"lo": 0, "hi": 1}}`, the key is the kind and its payload must be an
+///   object (else `bad_spec` "`<kind>` parameters must be an object") of
+///   the kind's parameters, among which `kind` is unknown.
+///
+/// Any other object or JSON type is `bad_spec`; a wrapper that gives
+/// another type a meaning (a bare number is a fixed distribution) handles
+/// it first. Checks across parameters stay in each enum's build step.
+///
+/// [`TaggedForm::print`] writes the normal form: a kind without parameters
+/// as its bare name, any other as the `kind` object with its parameters in
+/// table order.
+pub(crate) struct TaggedForm<const N: usize> {
+    /// The kind names.
+    pub kinds: [&'static str; N],
+    /// Each kind's parameter names, in print order.
+    pub params: [&'static [&'static str]; N],
+}
+
+impl<const N: usize> TaggedForm<N> {
+    /// Parse one tagged value of scenario field `field` into its kind and
+    /// parameters (the rules are on [`TaggedForm`]).
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::UnknownKey`] for an unknown kind or parameter,
+    /// [`PipelineError::InvalidSpec`] for a malformed value.
+    pub(crate) fn parse<'a>(&self, field: &'static str, v: &'a Json) -> Result<Tagged<'a>> {
+        let tag = v.get("kind");
+        let (name, params) = match (v, tag) {
+            (Json::Str(name), _) => (name.as_str(), None),
+            (Json::Obj(_), Some(tag)) => {
+                let name = tag
+                    .as_str()
+                    .ok_or_else(|| invalid(field, "`kind` must be a string"))?;
+                (name, Some(v))
+            }
+            (Json::Obj(fields), None) => match fields.as_slice() {
+                [(name, payload)] => (name.as_str(), Some(payload)),
+                _ => {
+                    return Err(invalid(
+                        field,
+                        "object form needs a `kind` key or a single `<kind>` key",
+                    ))
+                }
+            },
+            _ => return Err(invalid(field, "must be a string or an object")),
+        };
+        let i = self
+            .kinds
+            .iter()
+            .position(|k| *k == name)
+            .ok_or_else(|| unknown_key(field, name, &self.kinds))?;
+        let fields = match params {
+            None => &[][..],
+            Some(p) => p
+                .as_object()
+                .ok_or_else(|| invalid(field, format!("`{name}` parameters must be an object")))?,
+        };
+        // In the `kind` form the tag sits among the parameters.
+        let keys = fields.iter().filter(|(k, _)| tag.is_none() || k != "kind");
+        check_keys(field, keys, self.params[i])?;
+        Ok(Tagged {
+            field,
+            kind: self.kinds[i],
+            fields,
+            bare: params.is_none(),
+        })
+    }
+
+    /// Print `kind` with its parameter `values`, given in table order, in
+    /// the normal form.
+    pub(crate) fn print(&self, kind: &str, values: impl IntoIterator<Item = Json>) -> Json {
+        let i = self.kinds.iter().position(|k| *k == kind);
+        let params = self.params[i.expect("printing a table kind")];
+        if params.is_empty() {
+            return Json::Str(kind.into());
+        }
+        let mut fields = vec![("kind".to_string(), Json::Str(kind.into()))];
+        fields.extend(params.iter().map(|p| p.to_string()).zip(values));
+        Json::Obj(fields)
+    }
+}
+
+/// One parsed tagged value: its kind and typed readers over its
+/// parameters, for the enum's build step.
+pub(crate) struct Tagged<'a> {
+    field: &'static str,
+    /// The kind, as spelled in the table.
+    pub kind: &'static str,
+    fields: &'a [(String, Json)],
+    bare: bool,
+}
+
+impl<'a> Tagged<'a> {
+    /// Parameter `key`, if given.
+    pub(crate) fn get(&self, key: &str) -> Option<&'a Json> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Parameter `key` as a number (see [`num`]), if given.
+    pub(crate) fn num(&self, key: &str) -> Result<Option<f64>> {
+        num(self.field, key, self.get(key))
+    }
+
+    /// Parameter `key` as an integer in `range` (see [`int`]), if given.
+    pub(crate) fn int<T>(&self, key: &str, range: RangeInclusive<T>) -> Result<Option<T>>
+    where
+        T: Copy + Display + Into<u64> + TryFrom<u64>,
+    {
+        self.get(key)
+            .map(|j| int(self.field, key, j, range))
+            .transpose()
+    }
+
+    /// A required parameter: `value` if given, else `bad_spec` "`<kind>`
+    /// needs `<key>`" — or, for a bare kind name, "`<kind>` needs
+    /// parameters (use the object form)".
+    pub(crate) fn need<T>(&self, key: &str, value: Option<T>) -> Result<T> {
+        value.ok_or_else(|| {
+            let kind = self.kind;
+            invalid(
+                self.field,
+                if self.bare {
+                    format!("`{kind}` needs parameters (use the object form)")
+                } else {
+                    format!("`{kind}` needs `{key}`")
+                },
+            )
+        })
+    }
 }
 
 struct Parser<'a> {
@@ -539,6 +808,125 @@ mod tests {
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(0.5).as_u64(), None);
         assert_eq!(Json::Str("not a number".into()).as_u64(), None);
+    }
+
+    #[test]
+    fn edit_distance_basics() {
+        use crate::SCENARIO_KEYS;
+        assert_eq!(edit_distance("", "abc"), 3);
+        assert_eq!(edit_distance("abc", "abc"), 0);
+        assert_eq!(edit_distance("kitten", "sitting"), 3);
+        assert_eq!(suggest("nodenm", &SCENARIO_KEYS), Some("node_nm"));
+        assert_eq!(suggest("backened", &SCENARIO_KEYS), Some("backend"));
+    }
+
+    #[test]
+    fn tagged_form_rules() {
+        const SHAPES: TaggedForm<3> = TaggedForm {
+            kinds: ["dot", "box", "ring"],
+            params: [&[], &["w", "h"], &["r"]],
+        };
+        // The build step: `box` takes optional numbers, `ring` a required
+        // integer radius.
+        let build = |src: &str| -> Result<String> {
+            let v = Json::parse(src).unwrap();
+            let t = SHAPES.parse("shape", &v)?;
+            Ok(match t.kind {
+                "ring" => format!("ring {}", t.need("r", t.int("r", 1..=9u32)?)?),
+                "box" => format!("box {:?} {:?}", t.num("w")?, t.num("h")?),
+                kind => kind.to_string(),
+            })
+        };
+        enum Want {
+            Built(&'static str),
+            BadSpec(&'static str),
+            Unknown(&'static str, Option<&'static str>),
+        }
+        use Want::*;
+        let cases = [
+            // A bare kind name.
+            (r#""dot""#, Built("dot")),
+            (r#""box""#, Built("box None None")),
+            (
+                r#""ring""#,
+                BadSpec("`ring` needs parameters (use the object form)"),
+            ),
+            (r#""rung""#, Unknown("rung", Some("ring"))),
+            // An object with a `kind` key.
+            (r#"{"kind": "box", "w": 2}"#, Built("box Some(2.0) None")),
+            (r#"{"kind": "dot"}"#, Built("dot")),
+            (r#"{"kind": 3}"#, BadSpec("`kind` must be a string")),
+            (r#"{"kind": "bx", "w": 2}"#, Unknown("bx", Some("box"))),
+            (r#"{"kind": "box", "wd": 2}"#, Unknown("wd", Some("w"))),
+            // A key already given is never the suggestion.
+            (
+                r#"{"kind": "box", "w": 1, "ww": 2}"#,
+                Unknown("ww", Some("h")),
+            ),
+            (r#"{"kind": "ring"}"#, BadSpec("`ring` needs `r`")),
+            (
+                r#"{"kind": "ring", "r": 2.5}"#,
+                BadSpec("`r` must be an integer in [1, 9]"),
+            ),
+            (
+                r#"{"kind": "ring", "r": -1}"#,
+                BadSpec("`r` must be an integer in [1, 9]"),
+            ),
+            (
+                r#"{"kind": "ring", "r": 10}"#,
+                BadSpec("`r` must be an integer in [1, 9]"),
+            ),
+            (
+                r#"{"kind": "box", "w": "x"}"#,
+                BadSpec("`w` must be a number"),
+            ),
+            // An object with one key that is not `kind`.
+            (r#"{"ring": {"r": 3}}"#, Built("ring 3")),
+            (r#"{"dot": {}}"#, Built("dot")),
+            (r#"{"rng": {"r": 3}}"#, Unknown("rng", Some("ring"))),
+            (
+                r#"{"box": 2}"#,
+                BadSpec("`box` parameters must be an object"),
+            ),
+            (r#"{"box": {"kind": "box"}}"#, Unknown("kind", None)),
+            // Any other object or type.
+            (r#"{}"#, BadSpec("object form needs a `kind` key")),
+            (
+                r#"{"w": 1, "h": 2}"#,
+                BadSpec("object form needs a `kind` key"),
+            ),
+            ("7", BadSpec("must be a string or an object")),
+        ];
+        for (src, want) in cases {
+            match (build(src), want) {
+                (Ok(got), Built(expected)) => assert_eq!(got, expected, "{src}"),
+                (Err(PipelineError::InvalidSpec { field, msg }), BadSpec(fragment)) => {
+                    assert_eq!(field, "shape", "{src}");
+                    assert!(msg.contains(fragment), "{src}: `{msg}`");
+                }
+                (
+                    Err(PipelineError::UnknownKey {
+                        context,
+                        key,
+                        suggestion,
+                    }),
+                    Unknown(expected, suggested),
+                ) => {
+                    assert_eq!((context, key.as_str()), ("shape", expected), "{src}");
+                    assert_eq!(suggestion.as_deref(), suggested, "{src}");
+                }
+                (got, _) => panic!("{src}: unexpected {got:?}"),
+            }
+        }
+        // The printer: a parameterless kind is its bare name, any other
+        // kind the `kind` object in table order; both parse back.
+        let dot = SHAPES.print("dot", []);
+        let ring = SHAPES.print("ring", [Json::Num(4.0)]);
+        assert_eq!(dot.to_string_compact(), r#""dot""#);
+        assert_eq!(ring.to_string_compact(), r#"{"kind":"ring","r":4}"#);
+        assert_eq!(build(&ring.to_string_compact()).unwrap(), "ring 4");
+        let boxed = SHAPES.print("box", [Json::Num(2.0), Json::Num(3.0)]);
+        assert_eq!(boxed.to_string_compact(), r#"{"kind":"box","w":2,"h":3}"#);
     }
 
     #[test]

@@ -2,17 +2,16 @@
 //!
 //! `cnt-stats` owns the *semantics* of [`DistSpec`] and [`FieldSpec`]
 //! (validation, moments, sampling); this module owns their *wire forms*
-//! in the hand-rolled JSON dialect of [`crate::json`], with the same
-//! discipline as `BackendSpec`:
+//! in the hand-rolled JSON dialect of [`crate::json`]:
 //!
 //! * a **bare number** is the scalar back-compat form and parses as
 //!   [`DistSpec::Fixed`] — every pre-existing scenario file keeps its
 //!   meaning (and its serialized bytes);
-//! * a **`kind` object** spells the distribution out:
-//!   `{"kind": "gaussian", "mean": 200, "sd": 20}`;
-//! * a **nested single-key object** is the grid-schema shorthand:
-//!   `{"gaussian": {"mean": 200, "sd": 20}}`;
-//! * unknown kinds and unknown parameter names fail with
+//! * a **distribution object** is a tagged value of the shared codec in
+//!   [`crate::json`]: the `kind` object
+//!   `{"kind": "gaussian", "mean": 200, "sd": 20}` or the nested shorthand
+//!   `{"gaussian": {"mean": 200, "sd": 20}}`, with every parameter
+//!   required. Unknown kinds and parameter names fail with
 //!   [`crate::PipelineError::UnknownKey`] carrying the nearest valid
 //!   candidate by edit distance, so typos are machine-actionable all the
 //!   way up the service envelope.
@@ -22,148 +21,83 @@
 //! the per-knob domain clamps, and the relative quantization grid that
 //! keeps realized values cache-friendly.
 
-use crate::builder::unknown_key;
-use crate::json::Json;
-use crate::{PipelineError, Result};
+use crate::json::{check_keys, invalid, num, Json, TaggedForm};
+use crate::Result;
 use cnt_stats::{DistSpec, FieldSpec};
 
-fn invalid(field: &'static str, msg: impl Into<String>) -> PipelineError {
-    PipelineError::InvalidSpec {
-        field,
-        msg: msg.into(),
-    }
-}
+/// The wire table of [`DistSpec`]: kinds and parameters, in print order.
+const DIST_FORM: TaggedForm<5> = TaggedForm {
+    kinds: DistSpec::KINDS,
+    params: [
+        &["value"],
+        &["mean", "sd"],
+        &["mean", "sd", "lo", "hi"],
+        &["lo", "hi"],
+        &["mu", "sigma"],
+    ],
+};
 
-/// Parameter names of each distribution kind, aligned with
-/// [`DistSpec::KINDS`].
-const KIND_PARAMS: [&[&str]; 5] = [
-    &["value"],
-    &["mean", "sd"],
-    &["mean", "sd", "lo", "hi"],
-    &["lo", "hi"],
-    &["mu", "sigma"],
-];
-
-/// The parameter names of one kind (panics only on a non-canonical kind,
-/// which callers rule out by matching first).
-fn params_of(kind: &str) -> &'static [&'static str] {
-    DistSpec::KINDS
-        .iter()
-        .position(|k| *k == kind)
-        .map(|i| KIND_PARAMS[i])
-        .expect("caller matched a canonical kind")
-}
-
-/// Parse the parameter object of a known `kind`. `extra` names keys that
-/// are legal beyond the kind's parameters (the `kind` tag itself in the
-/// tagged form; nothing in the nested form).
-fn dist_params(context: &'static str, kind: &str, v: &Json, extra: &[&str]) -> Result<DistSpec> {
-    let fields = v
-        .as_object()
-        .ok_or_else(|| invalid(context, format!("`{kind}` parameters must be an object")))?;
-    let params = params_of(kind);
-    for (key, _) in fields {
-        if !params.contains(&key.as_str()) && !extra.contains(&key.as_str()) {
-            return Err(unknown_key(context, key, params));
+/// Parse a [`DistSpec`] from a bare number or a distribution object (see
+/// the module docs). `context` names the owning field in diagnostics.
+///
+/// # Errors
+///
+/// [`crate::PipelineError::UnknownKey`] for unknown kinds or parameter
+/// names (with nearest-candidate suggestions),
+/// [`crate::PipelineError::InvalidSpec`] for wrong shapes or out-of-domain
+/// parameters.
+pub fn dist_from_json(context: &'static str, v: &Json) -> Result<DistSpec> {
+    let spec = match v {
+        Json::Num(n) => DistSpec::Fixed(*n),
+        Json::Obj(_) => {
+            let t = DIST_FORM.parse(context, v)?;
+            let num = |key: &str| t.need(key, t.num(key)?);
+            match t.kind {
+                "fixed" => DistSpec::Fixed(num("value")?),
+                "gaussian" => DistSpec::Gaussian {
+                    mean: num("mean")?,
+                    sd: num("sd")?,
+                },
+                "truncated-gaussian" => DistSpec::TruncatedGaussian {
+                    mean: num("mean")?,
+                    sd: num("sd")?,
+                    lo: num("lo")?,
+                    hi: num("hi")?,
+                },
+                "uniform" => DistSpec::Uniform {
+                    lo: num("lo")?,
+                    hi: num("hi")?,
+                },
+                _ => DistSpec::LogNormal {
+                    mu: num("mu")?,
+                    sigma: num("sigma")?,
+                },
+            }
         }
-    }
-    let num = |key: &'static str| -> Result<f64> {
-        v.get(key)
-            .ok_or_else(|| invalid(context, format!("`{kind}` needs a number `{key}`")))?
-            .as_f64()
-            .ok_or_else(|| invalid(context, format!("`{kind}.{key}` must be a number")))
-    };
-    let spec = match kind {
-        "fixed" => DistSpec::Fixed(num("value")?),
-        "gaussian" => DistSpec::Gaussian {
-            mean: num("mean")?,
-            sd: num("sd")?,
-        },
-        "truncated-gaussian" => DistSpec::TruncatedGaussian {
-            mean: num("mean")?,
-            sd: num("sd")?,
-            lo: num("lo")?,
-            hi: num("hi")?,
-        },
-        "uniform" => DistSpec::Uniform {
-            lo: num("lo")?,
-            hi: num("hi")?,
-        },
-        "lognormal" => DistSpec::LogNormal {
-            mu: num("mu")?,
-            sigma: num("sigma")?,
-        },
-        _ => unreachable!("caller matched a canonical kind"),
+        _ => {
+            return Err(invalid(
+                context,
+                "must be a number or a distribution object",
+            ))
+        }
     };
     spec.validate()
         .map_err(|e| invalid(context, e.to_string()))?;
     Ok(spec)
 }
 
-/// Parse a [`DistSpec`] from any of its three wire forms (see the module
-/// docs). `context` names the owning field in diagnostics.
-///
-/// # Errors
-///
-/// [`PipelineError::UnknownKey`] for unknown kinds or parameter names
-/// (with nearest-candidate suggestions), [`PipelineError::InvalidSpec`]
-/// for wrong shapes or out-of-domain parameters.
-pub fn dist_from_json(context: &'static str, v: &Json) -> Result<DistSpec> {
-    match v {
-        Json::Num(n) => {
-            let spec = DistSpec::Fixed(*n);
-            spec.validate()
-                .map_err(|e| invalid(context, e.to_string()))?;
-            Ok(spec)
-        }
-        Json::Obj(fields) => {
-            // Nested single-key form: { "gaussian": { "mean": …, "sd": … } }.
-            if fields.len() == 1 && fields[0].0 != "kind" {
-                let key = fields[0].0.as_str();
-                if !DistSpec::KINDS.contains(&key) {
-                    return Err(unknown_key(context, key, &DistSpec::KINDS));
-                }
-                return dist_params(context, key, &fields[0].1, &[]);
-            }
-            let kind = v
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or_else(|| invalid(context, "object form needs a `kind` string"))?;
-            if !DistSpec::KINDS.contains(&kind) {
-                return Err(unknown_key(context, kind, &DistSpec::KINDS));
-            }
-            dist_params(context, kind, v, &["kind"])
-        }
-        _ => Err(invalid(
-            context,
-            "must be a number or a distribution object",
-        )),
-    }
-}
-
 /// Serialize a [`DistSpec`] to its normal wire form: a bare number for
 /// `Fixed` (so scalar scenarios round-trip byte-identically), the tagged
 /// `kind` object otherwise. `dist_from_json` inverts this exactly.
 pub fn dist_to_json(d: &DistSpec) -> Json {
-    let kv = |pairs: Vec<(&str, f64)>, kind: &str| {
-        let mut fields = vec![("kind".to_string(), Json::Str(kind.into()))];
-        fields.extend(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), Json::Num(v))),
-        );
-        Json::Obj(fields)
+    let values = match *d {
+        DistSpec::Fixed(v) => return Json::Num(v),
+        DistSpec::Gaussian { mean, sd } => vec![mean, sd],
+        DistSpec::TruncatedGaussian { mean, sd, lo, hi } => vec![mean, sd, lo, hi],
+        DistSpec::Uniform { lo, hi } => vec![lo, hi],
+        DistSpec::LogNormal { mu, sigma } => vec![mu, sigma],
     };
-    match *d {
-        DistSpec::Fixed(v) => Json::Num(v),
-        DistSpec::Gaussian { mean, sd } => kv(vec![("mean", mean), ("sd", sd)], "gaussian"),
-        DistSpec::TruncatedGaussian { mean, sd, lo, hi } => kv(
-            vec![("mean", mean), ("sd", sd), ("lo", lo), ("hi", hi)],
-            "truncated-gaussian",
-        ),
-        DistSpec::Uniform { lo, hi } => kv(vec![("lo", lo), ("hi", hi)], "uniform"),
-        DistSpec::LogNormal { mu, sigma } => kv(vec![("mu", mu), ("sigma", sigma)], "lognormal"),
-    }
+    DIST_FORM.print(d.kind(), values.into_iter().map(Json::Num))
 }
 
 /// The field-object keys beyond the embedded distribution.
@@ -184,7 +118,7 @@ const FIELD_KEYS: [&str; 6] = [
 ///
 /// # Errors
 ///
-/// As [`dist_from_json`], plus [`PipelineError::InvalidSpec`] for bad
+/// As [`dist_from_json`], plus [`crate::PipelineError::InvalidSpec`] for bad
 /// field hyperparameters.
 pub fn field_from_json(context: &'static str, v: &Json) -> Result<FieldSpec> {
     let is_field_obj = v
@@ -193,26 +127,13 @@ pub fn field_from_json(context: &'static str, v: &Json) -> Result<FieldSpec> {
     if !is_field_obj {
         return Ok(FieldSpec::from_dist(dist_from_json(context, v)?));
     }
-    let fields = v.as_object().expect("checked above");
-    for (key, _) in fields {
-        if !FIELD_KEYS.contains(&key.as_str()) {
-            return Err(unknown_key(context, key, &FIELD_KEYS));
-        }
-    }
+    check_keys(context, v.as_object().expect("checked above"), &FIELD_KEYS)?;
     let dist = dist_from_json(
         context,
         v.get("dist")
             .ok_or_else(|| invalid(context, "field object needs a `dist`"))?,
     )?;
-    let opt = |key: &'static str| -> Result<Option<f64>> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(j) => j
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| invalid(context, format!("`{key}` must be a number"))),
-        }
-    };
+    let opt = |key: &str| num(context, key, v.get(key));
     let base = FieldSpec::from_dist(dist);
     let spec = FieldSpec {
         dist,

@@ -22,9 +22,9 @@
 //! }
 //! ```
 
-use crate::json::Json;
+use crate::json::{check_keys, invalid, num, Json, TaggedForm};
 use crate::knob;
-use crate::{PipelineError, Result};
+use crate::Result;
 use cnfet_core::corner::ProcessCorner;
 use cnfet_core::paper;
 use cnfet_fault::redundancy::INVERT_TERM_LIMIT;
@@ -34,13 +34,6 @@ use cnfet_sim::adaptive::McPrecision;
 use cnt_stats::renewal::CountModel;
 use cnt_stats::seed::split_seed;
 use cnt_stats::DistSpec;
-
-fn invalid(field: &'static str, msg: impl Into<String>) -> PipelineError {
-    PipelineError::InvalidSpec {
-        field,
-        msg: msg.into(),
-    }
-}
 
 /// The processing corner of Eq. (2.1): a paper-named corner or an explicit
 /// `(pm, pRs, pRm)` triple.
@@ -93,16 +86,9 @@ impl CornerSpec {
                     ),
                 )),
             },
-            Json::Obj(_) => {
-                let field = |key: &str| -> Result<Option<f64>> {
-                    match v.get(key) {
-                        None => Ok(None),
-                        Some(j) => j
-                            .as_f64()
-                            .map(Some)
-                            .ok_or_else(|| invalid("corner", format!("`{key}` must be a number"))),
-                    }
-                };
+            Json::Obj(fields) => {
+                check_keys("corner", fields, &["pm", "p_rs", "p_rm"])?;
+                let field = |key: &str| num("corner", key, v.get(key));
                 Ok(CornerSpec::Custom {
                     pm: field("pm")?.ok_or_else(|| invalid("corner", "missing `pm`"))?,
                     p_rs: field("p_rs")?.ok_or_else(|| invalid("corner", "missing `p_rs`"))?,
@@ -325,100 +311,47 @@ impl BackendSpec {
         }
     }
 
-    /// Parse the parameters of back-end `kind` from the object `v`.
-    /// `allow` names the keys legal in this form (the `kind` form carries
-    /// a `kind` key, the nested form does not); anything else — including
-    /// a non-object payload or a mistyped number — is an error rather
-    /// than a silent fall-through to the defaults.
-    fn from_fields(kind: &str, v: &Json, allow: &[&'static str]) -> Result<Self> {
-        let fields = v
-            .as_object()
-            .ok_or_else(|| invalid("backend", format!("`{kind}` parameters must be an object")))?;
-        for (key, _) in fields {
-            if !allow.contains(&key.as_str()) {
-                return Err(crate::builder::unknown_key("backend", key, allow));
-            }
-        }
-        let field = |key: &str| -> Result<Option<f64>> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(j) => j
-                    .as_f64()
-                    .map(Some)
-                    .ok_or_else(|| invalid("backend", format!("`{key}` must be a number"))),
-            }
-        };
+    /// The wire table: kinds and parameters, in print order.
+    const FORM: TaggedForm<3> = TaggedForm {
+        kinds: Self::KINDS,
+        params: [
+            &["step"],
+            &[],
+            &["rel_ci", "max_trials", "batch", "ci_level"],
+        ],
+    };
+
+    /// Parse any of the tagged wire forms (see [`TaggedForm`]); omitted
+    /// parameters take their defaults.
+    pub(crate) fn from_json(v: &Json) -> Result<Self> {
+        let t = Self::FORM.parse("backend", v)?;
         let d = McPrecision::default();
-        Ok(match kind {
+        Ok(match t.kind {
             "convolution" => BackendSpec::Convolution {
-                step: field("step")?.unwrap_or(0.05),
+                step: t.num("step")?.unwrap_or(0.05),
             },
             "gaussian-sum" => BackendSpec::GaussianSum,
             _ => BackendSpec::MonteCarlo {
-                rel_ci: field("rel_ci")?.unwrap_or(d.rel_ci),
-                max_trials: field("max_trials")?.map_or(d.max_trials, |v| v as u64),
-                batch: field("batch")?.map_or(d.batch, |v| v as u32),
-                ci_level: field("ci_level")?.unwrap_or(d.level),
+                rel_ci: t.num("rel_ci")?.unwrap_or(d.rel_ci),
+                max_trials: t.int("max_trials", 0..=1 << 53)?.unwrap_or(d.max_trials),
+                batch: t.int("batch", 0..=u32::MAX)?.unwrap_or(d.batch),
+                ci_level: t.num("ci_level")?.unwrap_or(d.level),
             },
         })
     }
 
-    /// Parse any of the three wire forms: a bare kind name, a
-    /// `kind`-tagged object, or the nested single-key object
-    /// `{ "<kind>": { params } }`.
-    pub(crate) fn from_json(v: &Json) -> Result<Self> {
-        let params = |kind: &str| -> Result<&'static [&'static str]> {
-            match kind {
-                "convolution" => Ok(&["kind", "step"]),
-                "gaussian-sum" => Ok(&["kind"]),
-                "monte-carlo" => Ok(&["kind", "rel_ci", "max_trials", "batch", "ci_level"]),
-                other => Err(crate::builder::unknown_key(
-                    "backend",
-                    other,
-                    &BackendSpec::KINDS,
-                )),
-            }
-        };
-        match v {
-            Json::Str(s) => {
-                params(s)?;
-                Self::from_fields(s, &Json::Obj(Vec::new()), &[])
-            }
-            Json::Obj(fields) => {
-                if fields.len() == 1 && BackendSpec::KINDS.contains(&fields[0].0.as_str()) {
-                    let (kind, payload) = (&fields[0].0, &fields[0].1);
-                    return Self::from_fields(kind, payload, &params(kind)?[1..]);
-                }
-                let kind = v
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| invalid("backend", "object form needs a `kind` string"))?;
-                Self::from_fields(kind, v, params(kind)?)
-            }
-            _ => Err(invalid("backend", "must be a string or an object")),
-        }
-    }
-
     fn to_json(self) -> Json {
-        match self {
-            BackendSpec::Convolution { step } => Json::Obj(vec![
-                ("kind".into(), Json::Str("convolution".into())),
-                ("step".into(), Json::Num(step)),
-            ]),
-            BackendSpec::GaussianSum => Json::Str("gaussian-sum".into()),
+        let values = match self {
+            BackendSpec::Convolution { step } => vec![step],
+            BackendSpec::GaussianSum => vec![],
             BackendSpec::MonteCarlo {
                 rel_ci,
                 max_trials,
                 batch,
                 ci_level,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::Str("monte-carlo".into())),
-                ("rel_ci".into(), Json::Num(rel_ci)),
-                ("max_trials".into(), Json::Num(max_trials as f64)),
-                ("batch".into(), Json::Num(f64::from(batch))),
-                ("ci_level".into(), Json::Num(ci_level)),
-            ]),
-        }
+            } => vec![rel_ci, max_trials as f64, f64::from(batch), ci_level],
+        };
+        Self::FORM.print(self.name(), values.into_iter().map(Json::Num))
     }
 }
 
@@ -501,17 +434,12 @@ impl PuritySpec {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::UnknownKey`] / [`PipelineError::InvalidSpec`]
+    /// [`crate::PipelineError::UnknownKey`] / [`crate::PipelineError::InvalidSpec`]
     /// for unknown modes, parameters, or malformed distributions.
     pub fn from_json(v: &Json) -> Result<Self> {
         match v {
             Json::Obj(fields) if v.get("mode").is_some() => {
-                const ALLOW: [&str; 2] = ["mode", "dist"];
-                for (key, _) in fields {
-                    if !ALLOW.contains(&key.as_str()) {
-                        return Err(crate::builder::unknown_key("purity", key, &ALLOW));
-                    }
-                }
+                check_keys("purity", fields, &["mode", "dist"])?;
                 let mode = v
                     .get("mode")
                     .and_then(Json::as_str)
@@ -552,7 +480,7 @@ impl PuritySpec {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::InvalidSpec`] naming the `purity` field.
+    /// [`crate::PipelineError::InvalidSpec`] naming the `purity` field.
     pub fn validate(&self) -> Result<()> {
         self.dist
             .validate()
@@ -565,152 +493,64 @@ impl PuritySpec {
     }
 }
 
-/// Parse a [`RedundancyScheme`] from its wire forms: a bare kind string
-/// (`"none"`, `"tmr"`), a tagged object
+/// The wire table of [`RedundancyScheme`]: kinds and parameters, in print
+/// order.
+const REDUNDANCY_FORM: TaggedForm<4> = TaggedForm {
+    kinds: RedundancyScheme::KINDS,
+    params: [
+        &[],
+        &[],
+        &["spares", "unit_size"],
+        &["tiles", "spare_tiles", "test_coverage"],
+    ],
+};
+
+/// Parse a [`RedundancyScheme`] from any of its tagged wire forms: a bare
+/// kind string (`"none"`, `"tmr"`), a tagged object
 /// (`{"kind": "spare-units", "spares": 4, "unit_size": 65536}`), or the
 /// nested single-key shorthand (`{"spare-units": {"spares": 4, …}}`).
-/// Unknown kinds and parameters fail with a nearest-name suggestion.
+/// Every count is required; `test_coverage` defaults to 1. Unknown kinds
+/// and parameters fail with a nearest-name suggestion.
 ///
 /// # Errors
 ///
-/// [`PipelineError::UnknownKey`] / [`PipelineError::InvalidSpec`] for
+/// [`crate::PipelineError::UnknownKey`] / [`crate::PipelineError::InvalidSpec`] for
 /// unknown kinds/fields or mistyped parameters. Parameter *domains* are
 /// checked by [`ScenarioSpec::validate`], not here.
 pub fn redundancy_from_json(v: &Json) -> Result<RedundancyScheme> {
-    let count = |v: &Json, kind: &'static str, key: &'static str| -> Result<Option<u64>> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(j) => j
-                .as_f64()
-                .filter(|n| n.fract() == 0.0 && *n >= 0.0 && *n <= 1e15)
-                .map(|n| Some(n as u64))
-                .ok_or_else(|| {
-                    invalid(
-                        "redundancy",
-                        format!("{kind} `{key}` must be a non-negative integer"),
-                    )
-                }),
-        }
-    };
-    let require = |field: Option<u64>, kind: &'static str, key: &'static str| {
-        field.ok_or_else(|| invalid("redundancy", format!("{kind} needs `{key}`")))
-    };
-    let from_fields = |kind: &str, v: &Json, allow: &[&'static str]| -> Result<RedundancyScheme> {
-        let fields = v.as_object().ok_or_else(|| {
-            invalid(
-                "redundancy",
-                format!("`{kind}` parameters must be an object"),
-            )
-        })?;
-        for (key, _) in fields {
-            if !allow.contains(&key.as_str()) {
-                return Err(crate::builder::unknown_key("redundancy", key, allow));
-            }
-        }
-        match kind {
-            "none" => Ok(RedundancyScheme::None),
-            "tmr" => Ok(RedundancyScheme::Tmr),
-            "spare-units" => Ok(RedundancyScheme::SpareUnits {
-                spares: require(count(v, "spare-units", "spares")?, "spare-units", "spares")?,
-                unit_size: require(
-                    count(v, "spare-units", "unit_size")?,
-                    "spare-units",
-                    "unit_size",
-                )?,
-            }),
-            "repairable-tile" => Ok(RedundancyScheme::RepairableTile {
-                tiles: require(
-                    count(v, "repairable-tile", "tiles")?,
-                    "repairable-tile",
-                    "tiles",
-                )?,
-                spare_tiles: require(
-                    count(v, "repairable-tile", "spare_tiles")?,
-                    "repairable-tile",
-                    "spare_tiles",
-                )?,
-                test_coverage: match v.get("test_coverage") {
-                    None => 1.0,
-                    Some(j) => j
-                        .as_f64()
-                        .ok_or_else(|| invalid("redundancy", "`test_coverage` must be a number"))?,
-                },
-            }),
-            other => Err(crate::builder::unknown_key(
-                "redundancy",
-                other,
-                &RedundancyScheme::KINDS,
-            )),
-        }
-    };
-    match v {
-        Json::Str(s) => match s.as_str() {
-            "none" => Ok(RedundancyScheme::None),
-            "tmr" => Ok(RedundancyScheme::Tmr),
-            "spare-units" | "repairable-tile" => Err(invalid(
-                "redundancy",
-                format!("`{s}` needs parameters (use the object form)"),
-            )),
-            other => Err(crate::builder::unknown_key(
-                "redundancy",
-                other,
-                &RedundancyScheme::KINDS,
-            )),
+    let t = REDUNDANCY_FORM.parse("redundancy", v)?;
+    let count = |key: &str| t.need(key, t.int(key, 0..=1_000_000_000_000_000u64)?);
+    Ok(match t.kind {
+        "none" => RedundancyScheme::None,
+        "tmr" => RedundancyScheme::Tmr,
+        "spare-units" => RedundancyScheme::SpareUnits {
+            spares: count("spares")?,
+            unit_size: count("unit_size")?,
         },
-        Json::Obj(fields) => {
-            // Nested single-key form: { "spare-units": { "spares": … } }.
-            if fields.len() == 1 && RedundancyScheme::KINDS.contains(&fields[0].0.as_str()) {
-                let params = match fields[0].0.as_str() {
-                    "spare-units" => &["spares", "unit_size"][..],
-                    "repairable-tile" => &["tiles", "spare_tiles", "test_coverage"][..],
-                    _ => &[][..],
-                };
-                return from_fields(&fields[0].0, &fields[0].1, params);
-            }
-            let kind = v
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or_else(|| invalid("redundancy", "object form needs a `kind` string"))?;
-            let params = match kind {
-                "none" | "tmr" => &["kind"][..],
-                "spare-units" => &["kind", "spares", "unit_size"][..],
-                "repairable-tile" => &["kind", "tiles", "spare_tiles", "test_coverage"][..],
-                other => {
-                    return Err(crate::builder::unknown_key(
-                        "redundancy",
-                        other,
-                        &RedundancyScheme::KINDS,
-                    ))
-                }
-            };
-            from_fields(kind, v, params)
-        }
-        _ => Err(invalid("redundancy", "must be a string or an object")),
-    }
+        _ => RedundancyScheme::RepairableTile {
+            tiles: count("tiles")?,
+            spare_tiles: count("spare_tiles")?,
+            test_coverage: t.num("test_coverage")?.unwrap_or(1.0),
+        },
+    })
 }
 
 /// Serialize a [`RedundancyScheme`] to its normal wire form: a bare kind
 /// string for the parameterless schemes, a tagged `kind` object otherwise.
 /// Round-trips exactly through [`redundancy_from_json`].
 pub fn redundancy_to_json(s: &RedundancyScheme) -> Json {
-    match *s {
-        RedundancyScheme::None | RedundancyScheme::Tmr => Json::Str(s.name().into()),
-        RedundancyScheme::SpareUnits { spares, unit_size } => Json::Obj(vec![
-            ("kind".into(), Json::Str(s.name().into())),
-            ("spares".into(), Json::Num(spares as f64)),
-            ("unit_size".into(), Json::Num(unit_size as f64)),
-        ]),
+    let values = match *s {
+        RedundancyScheme::None | RedundancyScheme::Tmr => vec![],
+        RedundancyScheme::SpareUnits { spares, unit_size } => {
+            vec![spares as f64, unit_size as f64]
+        }
         RedundancyScheme::RepairableTile {
             tiles,
             spare_tiles,
             test_coverage,
-        } => Json::Obj(vec![
-            ("kind".into(), Json::Str(s.name().into())),
-            ("tiles".into(), Json::Num(tiles as f64)),
-            ("spare_tiles".into(), Json::Num(spare_tiles as f64)),
-            ("test_coverage".into(), Json::Num(test_coverage)),
-        ]),
-    }
+        } => vec![tiles as f64, spare_tiles as f64, test_coverage],
+    };
+    REDUNDANCY_FORM.print(s.name(), values.into_iter().map(Json::Num))
 }
 
 /// One declarative yield scenario.
@@ -795,7 +635,7 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::InvalidSpec`] naming the offending field.
+    /// [`crate::PipelineError::InvalidSpec`] naming the offending field.
     pub fn validate(&self) -> Result<()> {
         self.corner.corner()?;
         if !(self.node_nm.is_finite() && self.node_nm > 0.0) {
@@ -873,7 +713,7 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::UnknownKey`] / [`PipelineError::InvalidSpec`] for
+    /// [`crate::PipelineError::UnknownKey`] / [`crate::PipelineError::InvalidSpec`] for
     /// unknown fields, wrong types, or out-of-domain values.
     pub fn from_json(v: &Json) -> Result<Self> {
         let fields = v
@@ -922,7 +762,7 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::InvalidSpec`] for invalid distribution parameters.
+    /// [`crate::PipelineError::InvalidSpec`] for invalid distribution parameters.
     pub fn realize(&self, seed: u64) -> Result<ScenarioSpec> {
         let mut spec = self.clone();
         if !self.is_stochastic() {
@@ -1014,7 +854,7 @@ impl ScenarioGrid {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::Parse`] for malformed JSON, otherwise as
+    /// [`crate::PipelineError::Parse`] for malformed JSON, otherwise as
     /// [`ScenarioGrid::from_json`].
     pub fn parse(src: &str) -> Result<Self> {
         Self::from_json(&Json::parse(src)?)
@@ -1024,19 +864,14 @@ impl ScenarioGrid {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::UnknownKey`] for unknown sections or scenario
+    /// [`crate::PipelineError::UnknownKey`] for unknown sections or scenario
     /// fields (with nearest-key suggestions),
-    /// [`PipelineError::InvalidSpec`] for bad fields or an empty grid.
+    /// [`crate::PipelineError::InvalidSpec`] for bad fields or an empty grid.
     pub fn from_json(doc: &Json) -> Result<Self> {
-        const SECTIONS: [&str; 4] = ["defaults", "axes", "scenarios", "name"];
-        for (key, _) in doc
+        let sections = doc
             .as_object()
-            .ok_or_else(|| invalid("grid", "document must be an object"))?
-        {
-            if !SECTIONS.contains(&key.as_str()) {
-                return Err(crate::builder::unknown_key("grid", key, &SECTIONS));
-            }
-        }
+            .ok_or_else(|| invalid("grid", "document must be an object"))?;
+        check_keys("grid", sections, &["defaults", "axes", "scenarios", "name"])?;
 
         let mut base = crate::builder::ScenarioBuilder::new(
             doc.get("name").and_then(Json::as_str).unwrap_or("scenario"),
@@ -1170,6 +1005,7 @@ pub(crate) fn axis_label(v: &Json) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PipelineError;
 
     #[test]
     fn baseline_is_valid_and_round_trips() {

@@ -29,13 +29,12 @@
 //! 100 k-die wafer typically evaluates only a few thousand distinct
 //! scenarios through the shared curve/design caches.
 
-use crate::builder::unknown_key;
 use crate::engine::Pipeline;
-use crate::json::Json;
+use crate::json::{check_keys, invalid, unknown_key, Json};
 use crate::knob::{self, field_from_json, field_to_json};
 use crate::report::artifact_stem;
 use crate::spec::{MminSpec, RhoSpec, ScenarioSpec};
-use crate::{PipelineError, Result};
+use crate::Result;
 use cnfet_core::chipyield::yield_min_dominated;
 use cnfet_core::failure::FailureModel;
 use cnfet_core::paper;
@@ -48,13 +47,6 @@ use cnt_stats::{DistSpec, FastMap, FastSet, FieldSampler, FieldSpec};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-
-fn invalid(field: &'static str, msg: impl Into<String>) -> PipelineError {
-    PipelineError::InvalidSpec {
-        field,
-        msg: msg.into(),
-    }
-}
 
 /// Yield-binning histogram resolution (bins over `[0, 1]`).
 const YIELD_BINS: usize = 10;
@@ -153,7 +145,7 @@ impl WaferSpec {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::Parse`] for malformed JSON, otherwise as
+    /// [`crate::PipelineError::Parse`] for malformed JSON, otherwise as
     /// [`WaferSpec::from_json`].
     pub fn parse(src: &str) -> Result<Self> {
         Self::from_json(&Json::parse(src)?)
@@ -164,18 +156,14 @@ impl WaferSpec {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::UnknownKey`] for unknown sections, knobs, or
+    /// [`crate::PipelineError::UnknownKey`] for unknown sections, knobs, or
     /// distribution kinds (with nearest-candidate suggestions),
-    /// [`PipelineError::InvalidSpec`] for bad values.
+    /// [`crate::PipelineError::InvalidSpec`] for bad values.
     pub fn from_json(doc: &Json) -> Result<Self> {
-        for (key, _) in doc
+        let sections = doc
             .as_object()
-            .ok_or_else(|| invalid("wafer", "document must be an object"))?
-        {
-            if !WAFER_KEYS.contains(&key.as_str()) {
-                return Err(unknown_key("wafer", key, &WAFER_KEYS));
-            }
-        }
+            .ok_or_else(|| invalid("wafer", "document must be an object"))?;
+        check_keys("wafer", sections, &WAFER_KEYS)?;
         let name = match doc.get("name") {
             None => "wafer".to_string(),
             Some(v) => v
@@ -274,7 +262,7 @@ impl WaferSpec {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::InvalidSpec`] naming the offending part.
+    /// [`crate::PipelineError::InvalidSpec`] naming the offending part.
     pub fn validate(&self) -> Result<()> {
         if !(1..=MAX_DIAMETER_DIES).contains(&self.diameter_dies) {
             return Err(invalid(
@@ -485,7 +473,7 @@ impl WaferReport {
     ///
     /// # Errors
     ///
-    /// [`PipelineError::InvalidSpec`] for missing or mistyped fields.
+    /// [`crate::PipelineError::InvalidSpec`] for missing or mistyped fields.
     pub fn from_json(v: &Json) -> Result<Self> {
         let bad = |msg: String| invalid("wafer_report", msg);
         let num = |key: &str| -> Result<f64> {

@@ -58,7 +58,25 @@ fn every_field_arm_rejects_mistyped_values_as_bad_spec() {
         ("l_cnt_um", r#""long""#, "must be a number"),
         ("grid", r#""triple""#, "\"single\" or \"dual\""),
         ("fast_design", r#""yes""#, "must be a boolean"),
-        ("mc_trials", r#""lots""#, "must be a number"),
+        ("mc_trials", r#""lots""#, "`mc_trials` must be an integer"),
+        // Integer parameters are never truncated or saturated.
+        ("mc_trials", "-1", "`mc_trials` must be an integer"),
+        ("mc_trials", "2.9", "`mc_trials` must be an integer"),
+        (
+            "backend",
+            r#"{ "kind": "monte-carlo", "batch": 2000.7 }"#,
+            "`batch` must be an integer",
+        ),
+        (
+            "backend",
+            r#"{ "monte-carlo": { "batch": 1e12 } }"#,
+            "`batch` must be an integer",
+        ),
+        (
+            "backend",
+            r#"{ "kind": "monte-carlo", "max_trials": 1e30 }"#,
+            "`max_trials` must be an integer",
+        ),
     ];
     for (key, value, fragment) in cases {
         let err = set(key, value).unwrap_err();
@@ -128,6 +146,25 @@ fn unknown_keys_map_to_unknown_key_with_the_documented_suggestion() {
             Some("convolution"),
         ),
         ("backend", r#""quantum""#, "quantum", None),
+        (
+            "backend",
+            r#"{ "convolutoin": { "step": 0.1 } }"#,
+            "convolutoin",
+            Some("convolution"),
+        ),
+        ("redundancy", r#"{ "tmrr": {} }"#, "tmrr", Some("tmr")),
+        (
+            "redundancy",
+            r#"{ "spare-unit": { "spares": 2, "unit_size": 64 } }"#,
+            "spare-unit",
+            Some("spare-units"),
+        ),
+        (
+            "corner",
+            r#"{ "pm": 0.3, "p_rs": 0.2, "p_rn": 0.9 }"#,
+            "p_rn",
+            Some("p_rm"),
+        ),
         (
             "backend",
             r#"{ "kind": "convolution", "stepp": 0.01 }"#,
@@ -259,7 +296,7 @@ fn searcher_forms_reject_every_malformed_genetic_and_halving_shape() {
     let bad = [
         (
             r#"{ "genetic": { "population": 1 } }"#,
-            "`population` must be an integer >= 2",
+            "`population` must be an integer in [2, 1000000]",
         ),
         (
             r#"{ "genetic": { "population": 2.5 } }"#,
@@ -281,7 +318,7 @@ fn searcher_forms_reject_every_malformed_genetic_and_halving_shape() {
         // parse error, not a degenerate search.
         (
             r#"{ "halving": { "rungs": 0 } }"#,
-            "`rungs` must be an integer >= 1",
+            "`rungs` must be an integer in [1, 1000000]",
         ),
         (
             r#"{ "halving": { "eta": 1 } }"#,
@@ -305,7 +342,7 @@ fn searcher_forms_reject_every_malformed_genetic_and_halving_shape() {
         ),
         (
             r#"{ "grid": {}, "genetic": {} }"#,
-            "needs a `kind` string or a single strategy key",
+            "object form needs a `kind` key or a single `<kind>` key",
         ),
     ];
     for (form, fragment) in bad {

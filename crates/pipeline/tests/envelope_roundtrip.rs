@@ -2,12 +2,14 @@
 //! survive JSON serialize → parse unchanged, and foreign schema versions
 //! must be rejected with a structured `unsupported_schema` error.
 
+use cnfet_fault::{PurityMode, RedundancyScheme};
 use cnfet_pipeline::{
     BackendSpec, CoOptReport, CoOptSpec, CorrelationSpec, ErrorCode, Json, LibrarySpec,
-    McBackendReport, ParetoFront, ParetoPoint, ResponseBody, RungReport, ScenarioGrid,
-    ScenarioReport, ScenarioSpec, SearchAxis, SearchReport, SearcherSpec, ServiceError,
-    ServiceInfo, YieldRequest, YieldResponse, YieldService, SCHEMA_VERSION,
+    McBackendReport, MminSpec, ParetoFront, ParetoPoint, PuritySpec, ResponseBody, RungReport,
+    ScenarioGrid, ScenarioReport, ScenarioSpec, SearchAxis, SearchReport, SearcherSpec,
+    ServiceError, ServiceInfo, YieldRequest, YieldResponse, YieldService, SCHEMA_VERSION,
 };
+use cnt_stats::DistSpec;
 use proptest::prelude::*;
 
 /// Build a string from palette indices; the palette exercises JSON
@@ -116,32 +118,82 @@ fn spec(name: &[usize], node: f64, target: f64, backend: usize) -> ScenarioSpec 
         1 => BackendSpec::Convolution { step: 0.1 },
         _ => cnfet_pipeline::mc_backend_defaults(),
     };
+    // Redundancy and the distribution knobs, so every tagged table is on
+    // the wire (analytic back-ends only keep the fault knobs legal).
+    spec.redundancy = match backend % 5 {
+        0 => RedundancyScheme::None,
+        1 => RedundancyScheme::Tmr,
+        2 => RedundancyScheme::SpareUnits {
+            spares: 2,
+            unit_size: 4096,
+        },
+        _ => RedundancyScheme::RepairableTile {
+            tiles: 64,
+            spare_tiles: 8,
+            test_coverage: 0.99,
+        },
+    };
+    match backend % 3 {
+        0 => {
+            spec.density = DistSpec::Gaussian {
+                mean: 1.0,
+                sd: 0.05,
+            }
+        }
+        1 => {
+            spec.l_cnt_um = DistSpec::Uniform {
+                lo: 100.0,
+                hi: 300.0,
+            }
+        }
+        _ => {
+            spec.m_min = MminSpec::Fraction(DistSpec::TruncatedGaussian {
+                mean: 0.33,
+                sd: 0.02,
+                lo: 0.2,
+                hi: 0.5,
+            });
+            spec.purity = PuritySpec {
+                dist: DistSpec::LogNormal {
+                    mu: -1e-4,
+                    sigma: 1e-5,
+                },
+                mode: PurityMode::Removal,
+            };
+        }
+    }
     spec
 }
 
-/// Rewrite every scenario `backend` value in a request into the nested
-/// single-key form `{ "<kind>": { params } }`, which must parse to the
-/// same spec as the normal form the writer emits.
-fn nest_backends(j: &mut Json) {
+/// Rewrite every tagged value in a request — `backend`, `redundancy`,
+/// `searcher` and its `inner`, and each distribution object — into the
+/// nested single-key form `{ "<kind>": { params } }`, a bare kind name
+/// into `{ "<kind>": {} }`. The rewrite must parse to the same request as
+/// the normal form the writer emits.
+fn nest_tagged(j: &mut Json) {
+    const TAGGED: [&str; 4] = ["backend", "redundancy", "searcher", "inner"];
+    const DISTS: [&str; 5] = ["density", "l_cnt_um", "m_min", "purity", "dist"];
     match j {
         Json::Obj(fields) => {
             for (key, value) in fields.iter_mut() {
-                if key == "backend" {
-                    *value = match value.clone() {
-                        Json::Str(kind) => Json::Obj(vec![(kind, Json::Obj(vec![]))]),
-                        Json::Obj(params) => {
-                            let kind = value.get("kind").and_then(Json::as_str).unwrap();
-                            let rest = params.into_iter().filter(|(k, _)| k != "kind").collect();
-                            Json::Obj(vec![(kind.to_string(), Json::Obj(rest))])
-                        }
-                        other => other,
-                    };
-                } else {
-                    nest_backends(value);
-                }
+                nest_tagged(value);
+                let key = key.as_str();
+                *value = match value.clone() {
+                    Json::Str(kind) if TAGGED.contains(&key) => {
+                        Json::Obj(vec![(kind, Json::Obj(vec![]))])
+                    }
+                    Json::Obj(params) if TAGGED.contains(&key) || DISTS.contains(&key) => {
+                        let Some(kind) = value.get("kind").and_then(Json::as_str) else {
+                            continue;
+                        };
+                        let rest = params.into_iter().filter(|(k, _)| k != "kind").collect();
+                        Json::Obj(vec![(kind.to_string(), Json::Obj(rest))])
+                    }
+                    other => other,
+                };
             }
         }
-        Json::Arr(items) => items.iter_mut().for_each(nest_backends),
+        Json::Arr(items) => items.iter_mut().for_each(nest_tagged),
         _ => {}
     }
 }
@@ -211,7 +263,7 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("{e} for {wire}")))?;
         prop_assert_eq!(&back, &request);
         let mut nested = request.to_json();
-        nest_backends(&mut nested);
+        nest_tagged(&mut nested);
         let back = YieldRequest::from_json(&nested)
             .map_err(|e| TestCaseError::fail(format!("{e} for {}", nested.to_string_compact())))?;
         prop_assert_eq!(back, request);
